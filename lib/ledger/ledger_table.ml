@@ -65,7 +65,7 @@ let last_recorded_block catalog =
   !best
 
 let block_txs catalog ~height =
-  let acc = Hashtbl.create 16 in
+  let rows = ref [] in
   Table.iter_versions (ledger catalog) (fun v ->
       if
         (not v.Version.xmin_aborted)
@@ -73,11 +73,10 @@ let block_txs catalog ~height =
         && v.Version.values.(c_blocknumber) = Value.Int height
       then
         match (v.Version.values.(c_txid), v.Version.values.(c_status)) with
-        | Value.Int txid, Value.Text s -> Hashtbl.replace acc txid (Some s)
-        | Value.Int txid, _ -> Hashtbl.replace acc txid None
+        | Value.Int txid, Value.Text s -> rows := (txid, Some s) :: !rows
+        | Value.Int txid, _ -> rows := (txid, None) :: !rows
         | _ -> ());
-  Hashtbl.fold (fun txid s l -> (txid, s) :: l) acc []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  List.sort (fun (a, _) (b, _) -> compare a b) !rows
 
 let erase_block catalog ~height =
   let table = ledger catalog in

@@ -30,7 +30,8 @@ val record_statuses :
 val last_recorded_block : Brdb_storage.Catalog.t -> int
 
 (** Transactions recorded for a block with their status (None = step 2
-    never ran). *)
+    never ran), sorted by txid — not block order in the execute-order
+    flow, where ids are assigned at pre-execution. *)
 val block_txs :
   Brdb_storage.Catalog.t -> height:int -> (int * string option) list
 

@@ -541,15 +541,18 @@ let run_contract t txn (tx : Block.tx) =
 
 type slot = Run of Txn.t * Block.tx | Rejected of Block.tx * string
 
-let fresh_execute t ~snapshot (tx : Block.tx) =
+let begin_tx t ~snapshot (tx : Block.tx) =
   match
     Manager.begin_txn t.manager ~global_id:tx.Block.tx_id ~client:tx.Block.tx_user
       ~description:(describe_tx tx) ~snapshot_height:snapshot ()
   with
   | Error `Duplicate_txid -> Rejected (tx, "duplicate transaction identifier")
-  | Ok txn ->
-      run_contract t txn tx;
-      Run (txn, tx)
+  | Ok txn -> Run (txn, tx)
+
+let fresh_execute t ~snapshot tx =
+  let slot = begin_tx t ~snapshot tx in
+  (match slot with Run (txn, _) -> run_contract t txn tx | Rejected _ -> ());
+  slot
 
 (* EO §3.4.1: execute on arrival at the client-specified snapshot. *)
 let pre_execute t (tx : Block.tx) =
@@ -584,12 +587,18 @@ let acquire t ~block_height ~missing (tx : Block.tx) =
         fresh_execute t ~snapshot:effective_snapshot tx
       end
   | Some _ -> Rejected (tx, "duplicate transaction identifier")
-  | None ->
+  | None -> (
       if not (Block.verify_tx t.registry tx) then Rejected (tx, "invalid client signature")
-      else begin
-        if t.config.flow = Execute_order then incr missing;
-        fresh_execute t ~snapshot:effective_snapshot tx
-      end
+      else
+        match t.config.flow with
+        | Serial_baseline ->
+            (* The body runs at its turn in the commit stage, after every
+               predecessor has committed. *)
+            begin_tx t ~snapshot:effective_snapshot tx
+        | Execute_order ->
+            incr missing;
+            fresh_execute t ~snapshot:effective_snapshot tx
+        | Order_execute -> fresh_execute t ~snapshot:effective_snapshot tx)
 
 (* --- commit phase ------------------------------------------------------------------ *)
 
@@ -676,359 +685,345 @@ let apply_one t ~block_height slot decision =
           Wal.append t.wal ~txid:txn.Txn.txid ~height:block_height Wal.Committed;
           (tx.Block.tx_id, S_committed, Some txn))
 
-let commit_one t ~block_height ~graph slot =
-  let decision =
-    match slot with
-    | Rejected _ -> None
-    | Run (txn, _) -> decide t ~block_height ~graph txn
-  in
-  apply_one t ~block_height slot decision
-
-(* Wave-scheduled commit (ISSUE 8): waves execute in ascending index
-   order. Within a wave every decision is computed against pre-wave state
-   only — the schedule separates any two positions one of whose decisions
-   could read the other's status (direct dependency or two rw hops, per
-   Rules.decide_*'s far/near structure) — then the merge barrier applies
-   the wave's commits/aborts in block order before the next wave decides.
-   Decisions are evaluated in position order, so in-wave abort marks
-   propagate exactly as they do serially; the result is byte-identical to
-   the serial path (the qcheck equivalence property in
-   test/test_properties.ml). *)
-let commit_waves t ~block_height ~graph ~waves slots =
-  let arr = Array.of_list slots in
-  let n = Array.length arr in
-  if Array.length waves <> n then
-    invalid_arg "Node_core.commit_waves: waves length mismatch";
-  let decisions = Array.make (max n 1) None in
-  let results = Array.make (max n 1) None in
-  let wave_count = Array.fold_left (fun acc w -> max acc (w + 1)) 0 waves in
-  for w = 0 to wave_count - 1 do
-    for i = 0 to n - 1 do
-      if waves.(i) = w then
-        decisions.(i) <-
-          (match arr.(i) with
-          | Rejected _ -> None
-          | Run (txn, _) -> decide t ~block_height ~graph txn)
-    done;
-    for i = 0 to n - 1 do
-      if waves.(i) = w then
-        results.(i) <- Some (apply_one t ~block_height arr.(i) decisions.(i))
-    done
-  done;
-  List.init n (fun i -> Option.get results.(i))
-
 (* --- block processing ------------------------------------------------------------- *)
 
-let ledger_status = function
-  | S_committed -> "committed"
-  | S_aborted r -> "aborted: " ^ Txn.abort_reason_to_string r
-  | S_rejected r -> "rejected: " ^ r
+(* Every flow runs the same stages — acquire, graph/schedule, ledger step
+   1, decide/apply, critical-path log, ledger step 2 + digest bookkeeping
+   — and §3.6 crash injection stops this one path at a stage boundary. *)
 
-let process_appended t (block : Block.t) =
-  bootstrap t;
+type crash_point =
+  | Crash_after_ledger_entries
+  | Crash_mid_commit of int
+  | Crash_before_status_step
+
+(* Raised at the armed crash point; caught by [process_appended]. *)
+exception Crashed
+
+(* Stage 1: bind every position to a transaction. [fresh] marks positions
+   whose contract body runs during block processing (OE and serial: every
+   accepted transaction; EO: only the missing/re-executed ones) — the peer
+   charges tet for exactly those when modelling wave execution time. *)
+let acquire_block t (block : Block.t) =
   let block_height = block.Block.height in
   let missing = ref 0 in
-  let slots, dep_edges, br_waves, br_fresh =
-    match t.config.flow with
-    | Serial_baseline ->
-        (* Ethereum-style: execute + commit one at a time; later
-           transactions see earlier ones. The parallel_validation switch
-           is ignored: this flow is serial by definition. *)
-        let results =
-          List.map
-            (fun tx ->
-              let slot = acquire t ~block_height ~missing tx in
-              (match slot with
-              | Run (txn, _) ->
-                  txn.Txn.block <- Some block_height;
-                  txn.Txn.block_pos <- Some 0
-              | Rejected _ -> ());
-              let graph = Brdb_ssi.Graph.create () in
-              (slot, commit_one t ~block_height ~graph slot))
-            block.Block.txs
-          |> List.map snd
+  let slots, fresh =
+    List.split
+      (List.map
+         (fun tx ->
+           let before = !missing in
+           let slot = acquire t ~block_height ~missing tx in
+           ( slot,
+             match slot with
+             | Rejected _ -> false
+             | Run _ -> t.config.flow <> Execute_order || !missing > before ))
+         block.Block.txs)
+  in
+  List.iteri
+    (fun pos -> function
+      | Run (txn, _) ->
+          txn.Txn.block <- Some block_height;
+          txn.Txn.block_pos <- Some pos
+      | Rejected _ -> ())
+    slots;
+  (slots, Array.of_list fresh, !missing)
+
+(* Stage 2: the SSI graph, the block's dependency edges (for the
+   critical-path log) and its wave schedule. *)
+let schedule t slots =
+  let n = List.length slots in
+  match t.config.flow with
+  | Serial_baseline ->
+      (* Serial by design: every transaction depends on its predecessor,
+         so the critical path IS the serial path (headroom 1.0) and each
+         position is its own wave. *)
+      ( Brdb_ssi.Graph.create (),
+        List.init (max 0 (n - 1)) (fun i -> (i, i + 1)),
+        Array.init n Fun.id )
+  | Order_execute | Execute_order ->
+      let graph_txns =
+        let block_txns =
+          List.filter_map (function Run (txn, _) -> Some txn | Rejected _ -> None) slots
         in
-        (* Serial-by-design: every transaction depends on its predecessor,
-           so the critical path IS the serial path (headroom 1.0). *)
-        let n = List.length results in
-        ( results,
-          List.init (max 0 (n - 1)) (fun i -> (i, i + 1)),
-          Array.init n (fun i -> i),
-          Array.of_list
-            (List.map
-               (fun (_, status, _) ->
-                 match status with S_rejected _ -> false | _ -> true)
-               results) )
-    | Order_execute | Execute_order ->
-        (* Execute everything (logically concurrent), then commit serially
-           in block order. [fresh] marks positions whose contract body ran
-           during block processing (OE: every accepted transaction; EO:
-           only the missing/re-executed ones) — the peer charges tet for
-           exactly those when modelling wave execution time. *)
-        let slots_fresh =
-          List.map
-            (fun tx ->
-              let before = !missing in
-              let slot = acquire t ~block_height ~missing tx in
-              let fresh =
-                match slot with
-                | Rejected _ -> false
-                | Run _ ->
-                    t.config.flow = Order_execute || !missing > before
-              in
-              (slot, fresh))
-            block.Block.txs
+        match t.config.flow with
+        | Execute_order ->
+            (* Conflicts may involve in-flight transactions of other
+               blocks (Table 2's cross-block rows). *)
+            let block_ids = List.map (fun txn -> txn.Txn.txid) block_txns in
+            block_txns
+            @ List.filter
+                (fun txn -> not (List.mem txn.Txn.txid block_ids))
+                (Manager.pending t.manager)
+        | _ -> block_txns
+      in
+      let graph = Detect.compute t.catalog graph_txns in
+      (* Dependency edges for the critical-path analyzer, extracted
+         before any commit mutates transaction state. Normalized to
+         (low pos, high pos): within a block, commit order resolves
+         every conflict direction. *)
+      let pos_of = Hashtbl.create 16 in
+      List.iteri
+        (fun pos -> function
+          | Run (txn, _) -> Hashtbl.replace pos_of txn.Txn.txid pos
+          | Rejected _ -> ())
+        slots;
+      let rw_edges =
+        List.concat
+          (List.mapi
+             (fun pos -> function
+               | Rejected _ -> []
+               | Run (txn, _) ->
+                   List.filter_map
+                     (fun writer ->
+                       match Hashtbl.find_opt pos_of writer with
+                       | Some w when w <> pos ->
+                           Some (Stdlib.min pos w, Stdlib.max pos w)
+                       | _ -> None)
+                     (Brdb_ssi.Graph.out_conflicts graph txn.Txn.txid))
+             slots)
+      in
+      (* Chain consecutive members of a position list: commit order
+         resolves each conflict, so only adjacent pairs need edges. *)
+      let chain acc positions =
+        let rec go acc = function
+          | a :: (b :: _ as tl) -> go ((a, b) :: acc) tl
+          | _ -> acc
         in
-        let slots = List.map fst slots_fresh in
-        List.iteri
-          (fun pos slot ->
-            match slot with
-            | Run (txn, _) ->
-                txn.Txn.block <- Some block_height;
-                txn.Txn.block_pos <- Some pos
-            | Rejected _ -> ())
-          slots;
-        let graph_txns =
-          let block_txns =
-            List.filter_map (function Run (txn, _) -> Some txn | Rejected _ -> None) slots
-          in
-          match t.config.flow with
-          | Execute_order ->
-              (* Conflicts may involve in-flight transactions of other
-                 blocks (Table 2's cross-block rows). *)
-              let block_ids = List.map (fun txn -> txn.Txn.txid) block_txns in
-              block_txns
-              @ List.filter
-                  (fun txn -> not (List.mem txn.Txn.txid block_ids))
-                  (Manager.pending t.manager)
-          | _ -> block_txns
-        in
-        let graph = Detect.compute t.catalog graph_txns in
-        (* Ledger step 1: record the block's transactions (NULL status). *)
-        let entries =
-          List.filter_map
-            (function
-              | Run (txn, tx) ->
-                  Some
-                    {
-                      Ledger_table.e_txid = txn.Txn.txid;
-                      e_gid = tx.Block.tx_id;
-                      e_user = tx.Block.tx_user;
-                      e_query = describe_tx tx;
-                    }
-              | Rejected _ -> None)
-            slots
-        in
-        Ledger_table.record_txs t.catalog ~height:block_height ~time:block_height entries;
-        (* Dependency edges for the critical-path analyzer, extracted
-           before commit_one mutates transaction state. Normalized to
-           (low pos, high pos): within a block, commit order resolves
-           every conflict direction. *)
-        let pos_of = Hashtbl.create 16 in
-        List.iteri
-          (fun pos -> function
-            | Run (txn, _) -> Hashtbl.replace pos_of txn.Txn.txid pos
-            | Rejected _ -> ())
-          slots;
-        let rw_edges =
-          List.concat
-            (List.mapi
-               (fun pos -> function
-                 | Rejected _ -> []
-                 | Run (txn, _) ->
-                     List.filter_map
-                       (fun writer ->
-                         match Hashtbl.find_opt pos_of writer with
-                         | Some w when w <> pos ->
-                             Some (Stdlib.min pos w, Stdlib.max pos w)
-                         | _ -> None)
-                       (Brdb_ssi.Graph.out_conflicts graph txn.Txn.txid))
-               slots)
-        in
-        (* Chain consecutive members of a position list: commit order
-           resolves each conflict, so only adjacent pairs need edges. *)
-        let chain acc positions =
-          let rec go acc = function
-            | a :: (b :: _ as tl) -> go ((a, b) :: acc) tl
-            | _ -> acc
-          in
-          go acc (List.sort_uniq compare positions)
-        in
-        (* ww edges: chain consecutive claimants of each (table, version)
-           in position order — O(total claims), not O(n^2). *)
-        let claims = Hashtbl.create 32 in
-        List.iteri
-          (fun pos -> function
-            | Rejected _ -> ()
-            | Run (txn, _) ->
-                List.iter
-                  (fun key ->
-                    let prev =
-                      Option.value (Hashtbl.find_opt claims key) ~default:[]
-                    in
-                    Hashtbl.replace claims key (pos :: prev))
-                  (Txn.claimed txn))
-          slots;
-        let ww_edges = Hashtbl.fold (fun _ ps acc -> chain acc ps) claims [] in
-        (* Unique-key edges: Manager.check_unique tests visibility at this
-           block's height, so its outcome for a position depends on which
-           earlier positions have already committed a create (duplicate
-           insert must abort) or a delete/update that frees the key (a
-           re-insert must succeed). Those pairs carry no rw/ww edge — an
-           INSERT neither reads nor claims the conflicting row — so chain
-           every position that creates or releases a given
-           (table, unique column, key value) in position order. *)
-        let unique_touch = Hashtbl.create 16 in
-        let touch pos table_name vid =
-          match Catalog.find t.catalog table_name with
-          | None -> ()
-          | Some table ->
+        go acc (List.sort_uniq compare positions)
+      in
+      (* ww edges: chain consecutive claimants of each (table, version)
+         in position order — O(total claims), not O(n^2). *)
+      let claims = Hashtbl.create 32 in
+      List.iteri
+        (fun pos -> function
+          | Rejected _ -> ()
+          | Run (txn, _) ->
               List.iter
-                (fun col ->
-                  let key = (Table.get_version table vid).Version.values.(col) in
-                  if not (Value.is_null key) then begin
-                    let k = (table_name, col, Value.encode key) in
-                    let prev =
-                      Option.value (Hashtbl.find_opt unique_touch k) ~default:[]
-                    in
-                    Hashtbl.replace unique_touch k (pos :: prev)
-                  end)
-                (Table.unique_columns table)
+                (fun key ->
+                  let prev =
+                    Option.value (Hashtbl.find_opt claims key) ~default:[]
+                  in
+                  Hashtbl.replace claims key (pos :: prev))
+                (Txn.claimed txn))
+        slots;
+      let ww_edges = Hashtbl.fold (fun _ ps acc -> chain acc ps) claims [] in
+      (* Unique-key edges: Manager.check_unique tests visibility at this
+         block's height, so its outcome for a position depends on which
+         earlier positions have already committed a create (duplicate
+         insert must abort) or a delete/update that frees the key (a
+         re-insert must succeed). Those pairs carry no rw/ww edge — an
+         INSERT neither reads nor claims the conflicting row — so chain
+         every position that creates or releases a given
+         (table, unique column, key value) in position order. *)
+      let unique_touch = Hashtbl.create 16 in
+      let touch pos table_name vid =
+        match Catalog.find t.catalog table_name with
+        | None -> ()
+        | Some table ->
+            List.iter
+              (fun col ->
+                let key = (Table.get_version table vid).Version.values.(col) in
+                if not (Value.is_null key) then begin
+                  let k = (table_name, col, Value.encode key) in
+                  let prev =
+                    Option.value (Hashtbl.find_opt unique_touch k) ~default:[]
+                  in
+                  Hashtbl.replace unique_touch k (pos :: prev)
+                end)
+              (Table.unique_columns table)
+      in
+      List.iteri
+        (fun pos -> function
+          | Rejected _ -> ()
+          | Run (txn, _) ->
+              List.iter (fun (tbl, vid) -> touch pos tbl vid) (Txn.created txn);
+              List.iter (fun (tbl, vid) -> touch pos tbl vid) (Txn.claimed txn))
+        slots;
+      let unique_edges =
+        Hashtbl.fold (fun _ ps acc -> chain acc ps) unique_touch []
+      in
+      (* Barrier edges: a commit with on_commit hooks mutates node-plane
+         state outside MVCC (contract registry, identities) that
+         deploy_conflict reads at decide time, so serialize such
+         positions against every other accepted position. *)
+      let barriers =
+        List.concat
+          (List.mapi
+             (fun pos -> function
+               | Run (txn, _) when txn.Txn.on_commit <> [] -> [ pos ]
+               | _ -> [])
+             slots)
+      in
+      let barrier_edges =
+        match barriers with
+        | [] -> []
+        | bars ->
+            List.concat
+              (List.mapi
+                 (fun pos -> function
+                   | Rejected _ -> []
+                   | Run _ ->
+                       List.filter_map
+                         (fun b ->
+                           if b = pos then None
+                           else Some (Stdlib.min b pos, Stdlib.max b pos))
+                         bars)
+                 slots)
+      in
+      let dep_edges =
+        List.sort_uniq compare
+          (rw_edges @ ww_edges @ unique_edges @ barrier_edges)
+      in
+      (* Wave schedule: Rules.decide_plain/decide_block_aware read (and
+         can mark) transactions up to two rw hops away (far --rw--> near
+         --rw--> me), so two positions within rw distance 2 must not
+         share a wave even without a direct edge. These closure edges
+         are scheduling constraints only and stay out of the
+         critical-path log, which records data dependencies. *)
+      let closure_edges =
+        let nbrs = Hashtbl.create 16 in
+        let add a b =
+          let prev = Option.value (Hashtbl.find_opt nbrs a) ~default:[] in
+          Hashtbl.replace nbrs a (b :: prev)
         in
-        List.iteri
-          (fun pos -> function
-            | Rejected _ -> ()
-            | Run (txn, _) ->
-                List.iter (fun (tbl, vid) -> touch pos tbl vid) (Txn.created txn);
-                List.iter (fun (tbl, vid) -> touch pos tbl vid) (Txn.claimed txn))
-          slots;
-        let unique_edges =
-          Hashtbl.fold (fun _ ps acc -> chain acc ps) unique_touch []
-        in
-        (* Barrier edges: a commit with on_commit hooks mutates node-plane
-           state outside MVCC (contract registry, identities) that
-           deploy_conflict reads at decide time, so serialize such
-           positions against every other accepted position. *)
-        let barriers =
-          List.concat
-            (List.mapi
-               (fun pos -> function
-                 | Run (txn, _) when txn.Txn.on_commit <> [] -> [ pos ]
-                 | _ -> [])
-               slots)
-        in
-        let barrier_edges =
-          match barriers with
-          | [] -> []
-          | bars ->
-              List.concat
-                (List.mapi
-                   (fun pos -> function
-                     | Rejected _ -> []
-                     | Run _ ->
-                         List.filter_map
-                           (fun b ->
-                             if b = pos then None
-                             else Some (Stdlib.min b pos, Stdlib.max b pos))
-                           bars)
-                   slots)
-        in
-        let dep_edges =
-          List.sort_uniq compare
-            (rw_edges @ ww_edges @ unique_edges @ barrier_edges)
-        in
-        (* Wave schedule: Rules.decide_plain/decide_block_aware read (and
-           can mark) transactions up to two rw hops away (far --rw--> near
-           --rw--> me), so two positions within rw distance 2 must not
-           share a wave even without a direct edge. These closure edges
-           are scheduling constraints only and stay out of the
-           critical-path log, which records data dependencies. *)
-        let closure_edges =
-          let nbrs = Hashtbl.create 16 in
-          let add a b =
-            let prev = Option.value (Hashtbl.find_opt nbrs a) ~default:[] in
-            Hashtbl.replace nbrs a (b :: prev)
-          in
-          List.iter
-            (fun (a, b) ->
-              add a b;
-              add b a)
-            (List.sort_uniq compare rw_edges);
-          Hashtbl.fold
-            (fun _mid ns acc ->
-              let ns = List.sort_uniq compare ns in
-              let rec pairs acc = function
-                | a :: tl ->
-                    pairs (List.fold_left (fun acc b -> (a, b) :: acc) acc tl) tl
-                | [] -> acc
-              in
-              pairs acc ns)
-            nbrs []
-        in
-        let n = List.length slots in
-        let waves =
-          Brdb_obs.Critical_path.schedule
-            {
-              Brdb_obs.Critical_path.n;
-              weights = Array.make n 0.;
-              edges = List.sort_uniq compare (closure_edges @ dep_edges);
-            }
-        in
-        let results =
-          if t.config.parallel_validation then
-            commit_waves t ~block_height ~graph ~waves slots
-          else List.map (commit_one t ~block_height ~graph) slots
-        in
-        ( results,
-          dep_edges,
-          waves,
-          Array.of_list (List.map snd slots_fresh) )
+        List.iter
+          (fun (a, b) ->
+            add a b;
+            add b a)
+          (List.sort_uniq compare rw_edges);
+        Hashtbl.fold
+          (fun _mid ns acc ->
+            let ns = List.sort_uniq compare ns in
+            let rec pairs acc = function
+              | a :: tl ->
+                  pairs (List.fold_left (fun acc b -> (a, b) :: acc) acc tl) tl
+              | [] -> acc
+            in
+            pairs acc ns)
+          nbrs []
+      in
+      let waves =
+        Brdb_obs.Critical_path.schedule
+          {
+            Brdb_obs.Critical_path.n;
+            weights = Array.make n 0.;
+            edges = List.sort_uniq compare (closure_edges @ dep_edges);
+          }
+      in
+      (graph, dep_edges, waves)
+
+(* Stage 3, ledger step 1: record the block's transactions (NULL status). *)
+let record_entries t ~block_height slots =
+  Ledger_table.record_txs t.catalog ~height:block_height ~time:block_height
+    (List.filter_map
+       (function
+         | Run (txn, tx) ->
+             Some
+               {
+                 Ledger_table.e_txid = txn.Txn.txid;
+                 e_gid = tx.Block.tx_id;
+                 e_user = tx.Block.tx_user;
+                 e_query = describe_tx tx;
+               }
+         | Rejected _ -> None)
+       slots)
+
+(* Stage 4, decide/apply: waves run in ascending index order, filling
+   [outcomes] by position. Within a wave every decision is computed
+   against pre-wave state only — the schedule separates any two positions
+   one of whose decisions could read the other's status (direct
+   dependency or two rw hops, per Rules.decide_*'s far/near structure) —
+   then the merge barrier applies the wave's commits/aborts in block order
+   before the next wave decides. Decisions are evaluated in position
+   order, so in-wave abort marks propagate exactly as they do serially;
+   the result is byte-identical to one-position-per-wave commit (the
+   qcheck equivalence property in test/test_properties.ml). A serial
+   transaction's body runs right before its decision, after its
+   predecessors' waves applied. [Crash_mid_commit n] stops the stage
+   before the (n+1)-th apply. Returns one outcome per position. *)
+let commit_block ?crash t ~block_height ~graph ~waves slots =
+  let slots = Array.of_list slots in
+  let n = Array.length slots in
+  let outcomes = Array.make n None in
+  let members = Array.make n [] in
+  for i = n - 1 downto 0 do
+    members.(waves.(i)) <- i :: members.(waves.(i))
+  done;
+  let applied = ref 0 in
+  Array.iter
+    (fun wave ->
+      let decisions =
+        List.map
+          (fun i ->
+            match slots.(i) with
+            | Rejected _ -> None
+            | Run (txn, tx) ->
+                if t.config.flow = Serial_baseline then run_contract t txn tx;
+                decide t ~block_height ~graph txn)
+          wave
+      in
+      List.iter2
+        (fun i decision ->
+          (match crash with
+          | Some (Crash_mid_commit k) when !applied >= k -> raise Crashed
+          | _ -> ());
+          incr applied;
+          outcomes.(i) <- Some (apply_one t ~block_height slots.(i) decision))
+        wave decisions)
+    members;
+  List.map Option.get (Array.to_list outcomes)
+
+(* Stage 5: per-block critical-path analysis (sys.critical_path / bench
+   profiler). Weights come from the calibrated cost model; rejected
+   transactions never execute and weigh nothing. *)
+let log_critical_path t (block : Block.t) ~dep_edges outcomes =
+  let n = List.length block.Block.txs in
+  let weights =
+    Array.of_list
+      (List.map2
+         (fun (tx : Block.tx) (_, status, _) ->
+           match status with
+           | S_rejected _ -> 0.
+           | S_committed | S_aborted _ -> t.tet_model tx.Block.tx_contract)
+         block.Block.txs outcomes)
   in
-  (* Critical-path analysis (sys.critical_path / bench profiler): weights
-     come from the calibrated cost model; rejected transactions never
-     execute and weigh nothing. *)
-  (let n = List.length block.Block.txs in
-   let weights = Array.make (max n 1) 0. in
-   List.iteri
-     (fun pos ((tx : Block.tx), (_, status, _)) ->
-       weights.(pos) <-
-         (match status with
-         | S_rejected _ -> 0.
-         | S_committed | S_aborted _ -> t.tet_model tx.Block.tx_contract))
-     (List.combine block.Block.txs slots);
-   let cp_result =
-     Brdb_obs.Critical_path.analyze
-       { Brdb_obs.Critical_path.n; weights = Array.sub weights 0 n; edges = dep_edges }
-   in
-   Hashtbl.replace t.cp_log block_height
-     { cp_txs = n; cp_edge_count = List.length dep_edges; cp_result });
-  (* Ledger step 2: statuses, written atomically after all commits. *)
-  let statuses =
-    List.filter_map
-      (fun (_, status, txn) ->
-        Option.map (fun txn -> (txn.Txn.txid, ledger_status status)) txn)
-      slots
+  Hashtbl.replace t.cp_log block.Block.height
+    {
+      cp_txs = n;
+      cp_edge_count = List.length dep_edges;
+      cp_result =
+        Brdb_obs.Critical_path.analyze
+          { Brdb_obs.Critical_path.n; weights; edges = dep_edges };
+    }
+
+(* Stage 6, ledger step 2 + digest bookkeeping: statuses, the write-set
+   hash over committed transactions in block order, and the sys.*
+   records. [outcomes] is one (gid, status, txn) per position in block
+   order; recovery case (a) rebuilds it from the WAL and finishes here
+   too, so one function computes every write-set hash. Replace, not add:
+   recovery re-processing overwrites a partial attempt. *)
+let complete_block t (block : Block.t) ~missing ~waves ~fresh outcomes =
+  let block_height = block.Block.height in
+  Ledger_table.record_statuses t.catalog ~height:block_height
+    (List.filter_map
+       (fun (_, status, txn) ->
+         Option.map (fun txn -> (txn.Txn.txid, tx_status_to_string status)) txn)
+       outcomes);
+  let ws_leaves =
+    Manager.write_set_entries t.manager
+      (List.filter_map
+         (fun (_, status, txn) -> match status with S_committed -> txn | _ -> None)
+         outcomes)
   in
-  Ledger_table.record_statuses t.catalog ~height:block_height statuses;
-  let committed_txns =
-    List.filter_map
-      (fun (_, status, txn) -> match status with S_committed -> txn | _ -> None)
-      slots
-  in
-  let ws_leaves = Manager.write_set_entries t.manager committed_txns in
   let result =
     {
       br_height = block_height;
-      br_statuses = List.map (fun (gid, status, _) -> (gid, status)) slots;
+      br_statuses = List.map (fun (gid, status, _) -> (gid, status)) outcomes;
       br_write_set_hash = Brdb_crypto.Merkle.root ws_leaves;
-      br_missing = !missing;
-      br_waves;
-      br_fresh;
+      br_missing = missing;
+      br_waves = waves;
+      br_fresh = fresh;
     }
   in
-  (* sys.* bookkeeping: per-tx records (slot order = block order) and the
-     per-block state digest the divergence monitor publishes. Replace, not
-     add: recovery re-processing overwrites the partial attempt. *)
   Hashtbl.replace t.tx_log block_height
     (List.mapi
        (fun pos ((tx : Block.tx), (_, status, _)) ->
@@ -1039,7 +1034,7 @@ let process_appended t (block : Block.t) =
            r_contract = tx.Block.tx_contract;
            r_status = status;
          })
-       (List.combine block.Block.txs slots));
+       (List.combine block.Block.txs outcomes));
   Hashtbl.replace t.digests block_height result.br_write_set_hash;
   Hashtbl.replace t.ws_entries block_height ws_leaves;
   (* Garbage-collect bookkeeping for long-finished transactions (their
@@ -1047,12 +1042,54 @@ let process_appended t (block : Block.t) =
      A window of a few blocks keeps everything §3.6 recovery inspects. *)
   List.iter
     (fun (_, _, txn) ->
-      match txn with
-      | Some txn -> Hashtbl.remove t.exec_versions txn.Txn.txid
-      | None -> ())
-    slots;
+      Option.iter (fun txn -> Hashtbl.remove t.exec_versions txn.Txn.txid) txn)
+    outcomes;
   Manager.forget_finished t.manager ~below_height:(block_height - 4);
   result
+
+(* §3.6 remark, atomic block commit: a crash before the block's group
+   commit reached disk means physically none of it happened. *)
+let rollback_block t ~block_height slots =
+  List.iter
+    (function
+      | Run (({ Txn.status = Txn.Committed _; _ } as txn), _) ->
+          Manager.rollback_committed t.manager txn
+      | Run _ | Rejected _ -> ())
+    slots;
+  Wal.erase_block t.wal ~height:block_height
+
+let process_appended ?crash t (block : Block.t) =
+  bootstrap t;
+  let block_height = block.Block.height in
+  let slots, fresh, missing = acquire_block t block in
+  let graph, dep_edges, waves = schedule t slots in
+  match
+    record_entries t ~block_height slots;
+    if crash = Some Crash_after_ledger_entries then raise Crashed;
+    let outcomes =
+      commit_block ?crash t ~block_height ~graph
+        ~waves:
+          (if t.config.parallel_validation then waves
+           else Array.init (Array.length waves) Fun.id)
+        slots
+    in
+    log_critical_path t block ~dep_edges outcomes;
+    (* The two remaining points stop here: all applies are WAL'd, the
+       status step is not. *)
+    if crash <> None then raise Crashed;
+    outcomes
+  with
+  | outcomes -> complete_block t block ~missing ~waves ~fresh outcomes
+  | exception Crashed ->
+      if t.config.atomic_commit then rollback_block t ~block_height slots;
+      {
+        br_height = block_height;
+        br_statuses = [];
+        br_write_set_hash = "";
+        br_missing = missing;
+        br_waves = [||];
+        br_fresh = [||];
+      }
 
 let verify_and_append t block =
   if not (Block.verify t.registry block) then Error "invalid block (hash or signatures)"
@@ -1066,10 +1103,10 @@ let verify_and_append t block =
     | Error `Bad_block -> Error "corrupt block"
     | Ok () -> Ok ()
 
-let process_block t block =
+let process_block ?crash t block =
   match verify_and_append t block with
   | Error _ as e -> e
-  | Ok () -> Ok (process_appended t block)
+  | Ok () -> Ok (process_appended ?crash t block)
 
 (* --- read-only queries ---------------------------------------------------------------- *)
 
@@ -1133,81 +1170,6 @@ let explain_analyze t ?(params = [||]) ~row_cost sql =
 
 (* --- crash & recovery (§3.6) ------------------------------------------------------------ *)
 
-type crash_point =
-  | Crash_after_ledger_entries
-  | Crash_mid_commit of int
-  | Crash_before_status_step
-
-let process_block_with_crash t block ~crash =
-  (match verify_and_append t block with
-  | Error e -> failwith e
-  | Ok () -> ());
-  bootstrap t;
-  let block_height = block.Block.height in
-  let missing = ref 0 in
-  let slots = List.map (acquire t ~block_height ~missing) block.Block.txs in
-  List.iteri
-    (fun pos slot ->
-      match slot with
-      | Run (txn, _) ->
-          txn.Txn.block <- Some block_height;
-          txn.Txn.block_pos <- Some pos
-      | Rejected _ -> ())
-    slots;
-  let graph =
-    Detect.compute t.catalog
-      (List.filter_map (function Run (txn, _) -> Some txn | Rejected _ -> None) slots)
-  in
-  let entries =
-    List.filter_map
-      (function
-        | Run (txn, tx) ->
-            Some
-              {
-                Ledger_table.e_txid = txn.Txn.txid;
-                e_gid = tx.Block.tx_id;
-                e_user = tx.Block.tx_user;
-                e_query = describe_tx tx;
-              }
-        | Rejected _ -> None)
-      slots
-  in
-  Ledger_table.record_txs t.catalog ~height:block_height ~time:block_height entries;
-  match crash with
-  | Crash_after_ledger_entries -> ()
-  | Crash_mid_commit n ->
-      List.iteri
-        (fun i slot -> if i < n then ignore (commit_one t ~block_height ~graph slot))
-        slots;
-      if t.config.atomic_commit then begin
-        (* With atomic block commit, a crash mid-block means the group
-           commit never reached disk: physically none of it happened. *)
-        List.iter
-          (fun slot ->
-            match slot with
-            | Run (txn, _) -> (
-                match txn.Txn.status with
-                | Txn.Committed _ -> Manager.rollback_committed t.manager txn
-                | Txn.Pending | Txn.Aborted _ -> ())
-            | Rejected _ -> ())
-          slots;
-        Wal.erase_block t.wal ~height:block_height
-      end
-  | Crash_before_status_step ->
-      List.iter (fun slot -> ignore (commit_one t ~block_height ~graph slot)) slots;
-      if t.config.atomic_commit then begin
-        List.iter
-          (fun slot ->
-            match slot with
-            | Run (txn, _) -> (
-                match txn.Txn.status with
-                | Txn.Committed _ -> Manager.rollback_committed t.manager txn
-                | Txn.Pending | Txn.Aborted _ -> ())
-            | Rejected _ -> ())
-          slots;
-        Wal.erase_block t.wal ~height:block_height
-      end
-
 (* A crash between [Wal.begin_install] and [Wal.complete_install] leaves
    the node half-swapped between its old state and the snapshot's. The
    snapshot transfer is idempotent, so the cheapest correct recovery is a
@@ -1231,117 +1193,83 @@ let reset_half_installed t =
   t.bootstrapped <- false;
   bootstrap t
 
+let logged_status t txid =
+  match Wal.find t.wal ~txid with
+  | Some Wal.Committed -> Some S_committed
+  | Some (Wal.Aborted r) -> Some (S_aborted r)
+  | None -> None
+
+(* Case (a) outcomes, one per position in block order: a position whose
+   transaction has a ledger row takes its status from the WAL; any other
+   position was rejected before execution (the first position of a
+   duplicated id owns the row). *)
+let logged_outcomes t (block : Block.t) entries =
+  let by_gid = Hashtbl.create 16 in
+  List.iter
+    (fun (txid, _) ->
+      Option.iter
+        (fun txn -> Hashtbl.replace by_gid txn.Txn.global_id txn)
+        (Manager.find t.manager txid))
+    entries;
+  List.map
+    (fun (tx : Block.tx) ->
+      match Hashtbl.find_opt by_gid tx.Block.tx_id with
+      | Some txn ->
+          Hashtbl.remove by_gid tx.Block.tx_id;
+          (tx.Block.tx_id, Option.get (logged_status t txn.Txn.txid), Some txn)
+      | None ->
+          let reason =
+            if Block.verify_tx t.registry tx then "duplicate transaction identifier"
+            else "invalid client signature"
+          in
+          (tx.Block.tx_id, S_rejected reason, None))
+    block.Block.txs
+
 let recover t =
   match Wal.installing t.wal with
   | Some _ ->
       reset_half_installed t;
       Ok None
-  | None ->
-  let h = Ledger_table.last_recorded_block t.catalog in
-  if h = 0 then Ok None
-  else
-    let entries = Ledger_table.block_txs t.catalog ~height:h in
-    if entries = [] || List.for_all (fun (_, s) -> s <> None) entries then Ok None
-    else
-      let wal_statuses =
-        List.map (fun (txid, _) -> (txid, Wal.find t.wal ~txid)) entries
-      in
-      if List.for_all (fun (_, s) -> s <> None) wal_statuses then begin
-        (* Case (a): every transaction committed/aborted (per the
-           transaction log); only the ledger status step was lost. *)
-        let statuses =
-          List.map
-            (fun (txid, s) ->
-              match s with
-              | Some Wal.Committed -> (txid, "committed")
-              | Some (Wal.Aborted r) ->
-                  (txid, "aborted: " ^ Txn.abort_reason_to_string r)
-              | None -> assert false)
-            wal_statuses
-        in
-        Ledger_table.record_statuses t.catalog ~height:h statuses;
-        let br_statuses =
-          List.map
-            (fun (txid, s) ->
-              let gid =
-                match Manager.find t.manager txid with
-                | Some txn -> txn.Txn.global_id
-                | None -> string_of_int txid
-              in
-              match s with
-              | Some Wal.Committed -> (gid, S_committed)
-              | Some (Wal.Aborted r) -> (gid, S_aborted r)
-              | None -> assert false)
-            wal_statuses
-        in
-        let committed =
-          List.filter_map
-            (fun (txid, s) -> if s = Some Wal.Committed then Manager.find t.manager txid else None)
-            wal_statuses
-        in
-        let ws_leaves = Manager.write_set_entries t.manager committed in
-        let result =
-          {
-            br_height = h;
-            br_statuses;
-            br_write_set_hash = Brdb_crypto.Merkle.root ws_leaves;
-            br_missing = 0;
-            (* The schedule of the interrupted run is not recoverable from
-               the WAL; restart never models validation time, so empty
-               arrays are fine (the peer falls back to serial timing). *)
-            br_waves = [||];
-            br_fresh = [||];
-          }
-        in
-        (* Rebuild the sys.* records the interrupted processing never
-           wrote. Transactions absent from the WAL were rejected before
-           reaching it (duplicate ids); the exact reject reason is not
-           recoverable, but the decision — all the cross-node invariants
-           cover — is. *)
-        (match Block_store.get t.store h with
-        | None -> ()
-        | Some block ->
-            Hashtbl.replace t.tx_log h
-              (List.mapi
-                 (fun pos (tx : Block.tx) ->
-                   let status =
-                     match List.assoc_opt tx.Block.tx_id br_statuses with
-                     | Some s -> s
-                     | None -> S_rejected "duplicate transaction identifier"
-                   in
-                   {
-                     r_pos = pos;
-                     r_gid = tx.Block.tx_id;
-                     r_user = tx.Block.tx_user;
-                     r_contract = tx.Block.tx_contract;
-                     r_status = status;
-                   })
-                 block.Block.txs));
-        Hashtbl.replace t.digests h result.br_write_set_hash;
-        Hashtbl.replace t.ws_entries h ws_leaves;
-        Ok (Some result)
-      end
-      else begin
-        (* Case (b): some transactions never reached the log. Roll back
-           the ones that committed, then re-execute the whole block. *)
-        List.iter
-          (fun (txid, _) ->
-            match Manager.find t.manager txid with
-            | None -> ()
-            | Some txn ->
-                (match txn.Txn.status with
-                | Txn.Committed _ -> Manager.rollback_committed t.manager txn
-                | Txn.Pending ->
-                    Manager.abort t.manager txn (Txn.Contract_error "crash rollback")
-                | Txn.Aborted _ -> ());
-                Manager.release t.manager txn)
-          entries;
-        Wal.erase_block t.wal ~height:h;
-        Ledger_table.erase_block t.catalog ~height:h;
+  | None -> (
+      let h = Ledger_table.last_recorded_block t.catalog in
+      let entries = if h = 0 then [] else Ledger_table.block_txs t.catalog ~height:h in
+      if List.for_all (fun (_, s) -> s <> None) entries then Ok None
+      else
         match Block_store.get t.store h with
         | None -> Error (Printf.sprintf "block %d missing from the block store" h)
-        | Some block -> Ok (Some (process_appended t block))
-      end
+        | Some block ->
+            if List.for_all (fun (txid, _) -> logged_status t txid <> None) entries
+            then
+              (* Case (a): every transaction committed/aborted (per the
+                 transaction log); only the ledger status step was lost.
+                 The interrupted schedule is not recoverable from the WAL;
+                 restart never models validation time, so empty arrays
+                 are fine (the peer falls back to serial timing). *)
+              Ok
+                (Some
+                   (complete_block t block ~missing:0 ~waves:[||] ~fresh:[||]
+                      (logged_outcomes t block entries)))
+            else begin
+              (* Case (b): some transactions never reached the log. Roll
+                 back the ones that committed, then re-execute the whole
+                 block. *)
+              List.iter
+                (fun (txid, _) ->
+                  match Manager.find t.manager txid with
+                  | None -> ()
+                  | Some txn ->
+                      (match txn.Txn.status with
+                      | Txn.Committed _ -> Manager.rollback_committed t.manager txn
+                      | Txn.Pending ->
+                          Manager.abort t.manager txn
+                            (Txn.Contract_error "crash rollback")
+                      | Txn.Aborted _ -> ());
+                      Manager.release t.manager txn)
+                entries;
+              Wal.erase_block t.wal ~height:h;
+              Ledger_table.erase_block t.catalog ~height:h;
+              Ok (Some (process_appended t block))
+            end)
 
 (* --- pruning ------------------------------------------------------------------------------ *)
 

@@ -114,10 +114,33 @@ val install_contract : t -> name:string -> Brdb_contracts.Registry.body -> unit
     is decided at commit. *)
 val pre_execute : t -> Brdb_ledger.Block.tx -> (unit, string) result
 
-(** Process the next block (verification, execution, serial commit,
-    ledger bookkeeping, write-set hash). [Error] on out-of-sequence or
-    invalid blocks. *)
-val process_block : t -> Brdb_ledger.Block.t -> (block_result, string) result
+(** §3.6 crash points, each a boundary between two stages of
+    {!process_block}'s one path (acquire → graph/schedule → ledger step 1
+    → decide/apply → critical-path log → ledger step 2 + digest
+    bookkeeping), under every flow and validation mode. *)
+type crash_point =
+  | Crash_after_ledger_entries
+      (** after ledger step 1: every transaction recorded with a NULL
+          status (and, outside the serial flow, executed), none applied *)
+  | Crash_mid_commit of int
+      (** inside decide/apply, before the [n+1]-th commit/abort is
+          applied — with wave validation possibly mid-wave. Applies are
+          counted in execution order, rejected positions included; a block
+          with at most [n] positions stops where
+          {!Crash_before_status_step} does. *)
+  | Crash_before_status_step
+      (** after the critical-path log: every commit/abort applied and
+          WAL'd, ledger step 2 and the digest bookkeeping missing *)
+
+(** Process the next block (verification, execution, commit, ledger
+    bookkeeping, write-set hash). [Error] on out-of-sequence or invalid
+    blocks, before any processing. With [crash], a verified block is
+    appended and processing stops at that point, leaving the node
+    inconsistent until {!recover} — under [atomic_commit] with every
+    commit of the block undone. The [Ok] result of a crashed run is
+    meaningful only for its height; callers should discard it. *)
+val process_block :
+  ?crash:crash_point -> t -> Brdb_ledger.Block.t -> (block_result, string) result
 
 (** Run a read-only query outside any blockchain transaction (the
     paper's single-statement [SELECT] / provenance path). *)
@@ -187,21 +210,12 @@ val tamper_digest_for_test : t -> height:int -> unit
 
 (** {2 Crash & recovery (§3.6)} *)
 
-type crash_point =
-  | Crash_after_ledger_entries
-      (** step 1 done, no transaction committed *)
-  | Crash_mid_commit of int  (** first [n] transactions committed (WAL'd) *)
-  | Crash_before_status_step  (** all commits WAL'd, ledger statuses missing *)
-
-(** Process a block but stop at the crash point, leaving the node
-    inconsistent. *)
-val process_block_with_crash :
-  t -> Brdb_ledger.Block.t -> crash:crash_point -> unit
-
 (** The §3.6 restart procedure. Returns [Some result] when a block had to
-    be repaired (either by completing its status step from the WAL or by
-    rolling back and re-executing it), [None] when the node was already
-    consistent. *)
+    be repaired, [None] when the node was already consistent. Case (a),
+    every ledger-recorded transaction in the WAL: rebuild each position's
+    status in block order from the block store plus the WAL and finish
+    through {!process_block}'s own ledger-step-2/digest stage. Case (b):
+    roll the block back and re-execute it. *)
 val recover : t -> (block_result option, string) result
 
 (** Per-block prune of dead versions (the §7 vacuum remark): removes

@@ -639,145 +639,142 @@ let rec process_ready t =
     | None -> ()
     | Some block -> (
         Hashtbl.remove t.inbox next;
-        match t.pending_crash with
-        | Some point ->
-            (* §3.6: append the block and begin processing, then die at the
-               injected point; {!restart} rolls back and re-executes. *)
-            t.pending_crash <- None;
-            Node_core.process_block_with_crash t.core block ~crash:point;
+        t.processing <- true;
+        (* Semantic processing happens now; the result is announced after
+           the modelled processing time has elapsed. *)
+        match Node_core.process_block ?crash:t.pending_crash t.core block with
+        | Error _ ->
+            (* A block that passed admission but fails append
+               (broken hash chain against the stored predecessor):
+               drop it, count it, and re-fetch the height from an
+               honest source. *)
+            t.processing <- false;
+            t.blocks_rejected <- t.blocks_rejected + 1;
+            mincr t "block.rejected";
+            mincr t "block.rejected.chain";
+            process_ready t;
+            if not t.crashed then
+              arm_fetch t ~blind:true ~delay:t.config.fetch_timeout
+        | Ok _ when t.pending_crash <> None ->
+            (* §3.6: the block was appended and processing stopped at the
+               armed crash point; {!restart} repairs it. *)
+            t.processing <- false;
             do_crash t
-        | None -> (
-            t.processing <- true;
-            (* Semantic processing happens now; the result is announced
-               after the modelled processing time has elapsed. *)
-            match Node_core.process_block t.core block with
-            | Error _ ->
-                (* A block that passed admission but fails append
-                   (broken hash chain against the stored predecessor):
-                   drop it, count it, and re-fetch the height from an
-                   honest source. *)
+        | Ok result ->
+            let serial_bet, bct =
+              block_times t block ~missing:result.Node_core.br_missing
+            in
+            let block_const =
+              t.config.cost.Brdb_sim.Cost_model.block_const
+            in
+            if t.config.core.Node_core.flow = Node_core.Order_execute then
+              List.iter
+                (fun tx ->
+                  let tet = tet_of t tx in
+                  Metrics.record_tet t.metrics tet;
+                  mobserve t "phase.tet_ms" (tet *. 1000.))
+                block.Block.txs;
+            let complete ~bpt ~bet () =
                 t.processing <- false;
-                t.blocks_rejected <- t.blocks_rejected + 1;
-                mincr t "block.rejected";
-                mincr t "block.rejected.chain";
-                process_ready t;
-                if not t.crashed then
-                  arm_fetch t ~blind:true ~delay:t.config.fetch_timeout
-            | Ok result ->
-                let serial_bet, bct =
-                  block_times t block ~missing:result.Node_core.br_missing
-                in
-                let block_const =
-                  t.config.cost.Brdb_sim.Cost_model.block_const
-                in
-                if t.config.core.Node_core.flow = Node_core.Order_execute then
-                  List.iter
-                    (fun tx ->
-                      let tet = tet_of t tx in
-                      Metrics.record_tet t.metrics tet;
-                      mobserve t "phase.tet_ms" (tet *. 1000.))
-                    block.Block.txs;
-                let complete ~bpt ~bet () =
-                    t.processing <- false;
-                    Metrics.record_block t.metrics
-                      ~size:(List.length block.Block.txs)
-                      ~bpt ~bet ~bct;
-                    Metrics.record_missing_tx t.metrics
-                      result.Node_core.br_missing;
-                    mincr t "block.processed";
-                    mobserve t "phase.bpt_ms" (bpt *. 1000.);
-                    mobserve t "phase.bet_ms" (bet *. 1000.);
-                    mobserve t "phase.bct_ms" (bct *. 1000.);
-                    mobserve t "block.size"
-                      (float_of_int (List.length block.Block.txs));
-                    let tr = tracer t in
-                    (if Trace.enabled tr then
-                       (* the block completes now; its phases are
-                          back-dated by their modelled costs (§5: bpt =
-                          const + bet + bct) *)
-                       let h = result.Node_core.br_height in
-                       let ts0 = Clock.now t.clock -. bpt in
-                       let const =
-                         t.config.cost.Brdb_sim.Cost_model.block_const
-                       in
-                       let node = name t in
-                       let block_span = Printf.sprintf "block/%d" h in
-                       Trace.complete tr ~node ~track:"block" ~cat:"block"
-                         ~name:(Printf.sprintf "block %d" h)
-                         ~ts:ts0 ~dur:bpt ~span:block_span
-                         ~parent:(Printf.sprintf "order/%d" h)
-                         ~args:
-                           [
-                             ("height", Trace.I h);
-                             ("txs", Trace.I (List.length block.Block.txs));
-                             ("missing", Trace.I result.Node_core.br_missing);
-                           ]
-                         ();
-                       Trace.complete tr ~node ~track:"block" ~cat:"execute"
-                         ~name:"execute" ~ts:(ts0 +. const) ~dur:bet
-                         ~span:(Printf.sprintf "exec/%d" h)
-                         ~parent:block_span
-                         ~args:[ ("height", Trace.I h) ]
-                         ();
-                       Trace.complete tr ~node ~track:"block" ~cat:"commit"
-                         ~name:"commit"
-                         ~ts:(ts0 +. const +. bet)
-                         ~dur:bct
-                         ~span:(Printf.sprintf "commit/%d" h)
-                         ~parent:block_span
-                         ~args:[ ("height", Trace.I h) ]
-                         ());
-                    finish_block t result;
-                    if not t.crashed then begin
-                      process_ready t;
-                      (* still behind after draining the inbox: keep the
-                         catch-up session going *)
-                      if needs_fetch t then arm_fetch t
-                    end
-                in
-                let n = List.length block.Block.txs in
-                let use_waves =
-                  t.config.core.Node_core.parallel_validation
-                  && t.config.core.Node_core.flow <> Node_core.Serial_baseline
-                  && Array.length result.Node_core.br_waves = n
-                in
-                if use_waves then
-                  (* Wave-scheduled timing (ISSUE 8): execution occupies
-                     the simulated cores wave by wave; only the block
-                     constant and the commit tail stay serial. *)
-                  Cpu.run_waves t.cpu ~head:block_const ~tail:bct
-                    ~waves:result.Node_core.br_waves
-                    ~costs:(wave_job_costs t block result)
-                    (fun stats ->
-                      let bet = stats.Cpu.exec_elapsed in
-                      let bpt = block_const +. bet +. bct in
-                      let cores = Cpu.cores t.cpu in
-                      let occupancy =
-                        if bet > 0. && cores > 0 then
-                          stats.Cpu.exec_busy /. (bet *. float_of_int cores)
-                        else 1.
-                      in
-                      let speedup =
-                        if bet > 0. then serial_bet /. bet else 1.
-                      in
-                      mincr t "validation.blocks";
-                      mobserve t "validation.waves"
-                        (float_of_int stats.Cpu.wave_count);
-                      mobserve t "validation.occupancy" occupancy;
-                      mobserve t "validation.speedup" speedup;
-                      t.val_log <-
-                        ( result.Node_core.br_height,
-                          n,
-                          stats.Cpu.wave_count,
-                          serial_bet,
-                          bet,
-                          occupancy )
-                        :: t.val_log;
-                      complete ~bpt ~bet ())
-                else
-                  let bet = serial_bet in
+                Metrics.record_block t.metrics
+                  ~size:(List.length block.Block.txs)
+                  ~bpt ~bet ~bct;
+                Metrics.record_missing_tx t.metrics
+                  result.Node_core.br_missing;
+                mincr t "block.processed";
+                mobserve t "phase.bpt_ms" (bpt *. 1000.);
+                mobserve t "phase.bet_ms" (bet *. 1000.);
+                mobserve t "phase.bct_ms" (bct *. 1000.);
+                mobserve t "block.size"
+                  (float_of_int (List.length block.Block.txs));
+                let tr = tracer t in
+                (if Trace.enabled tr then
+                   (* the block completes now; its phases are
+                      back-dated by their modelled costs (§5: bpt =
+                      const + bet + bct) *)
+                   let h = result.Node_core.br_height in
+                   let ts0 = Clock.now t.clock -. bpt in
+                   let const =
+                     t.config.cost.Brdb_sim.Cost_model.block_const
+                   in
+                   let node = name t in
+                   let block_span = Printf.sprintf "block/%d" h in
+                   Trace.complete tr ~node ~track:"block" ~cat:"block"
+                     ~name:(Printf.sprintf "block %d" h)
+                     ~ts:ts0 ~dur:bpt ~span:block_span
+                     ~parent:(Printf.sprintf "order/%d" h)
+                     ~args:
+                       [
+                         ("height", Trace.I h);
+                         ("txs", Trace.I (List.length block.Block.txs));
+                         ("missing", Trace.I result.Node_core.br_missing);
+                       ]
+                     ();
+                   Trace.complete tr ~node ~track:"block" ~cat:"execute"
+                     ~name:"execute" ~ts:(ts0 +. const) ~dur:bet
+                     ~span:(Printf.sprintf "exec/%d" h)
+                     ~parent:block_span
+                     ~args:[ ("height", Trace.I h) ]
+                     ();
+                   Trace.complete tr ~node ~track:"block" ~cat:"commit"
+                     ~name:"commit"
+                     ~ts:(ts0 +. const +. bet)
+                     ~dur:bct
+                     ~span:(Printf.sprintf "commit/%d" h)
+                     ~parent:block_span
+                     ~args:[ ("height", Trace.I h) ]
+                     ());
+                finish_block t result;
+                if not t.crashed then begin
+                  process_ready t;
+                  (* still behind after draining the inbox: keep the
+                     catch-up session going *)
+                  if needs_fetch t then arm_fetch t
+                end
+            in
+            let n = List.length block.Block.txs in
+            let use_waves =
+              t.config.core.Node_core.parallel_validation
+              && t.config.core.Node_core.flow <> Node_core.Serial_baseline
+              && Array.length result.Node_core.br_waves = n
+            in
+            if use_waves then
+              (* Wave-scheduled timing (DESIGN.md §14): execution occupies
+                 the simulated cores wave by wave; only the block
+                 constant and the commit tail stay serial. *)
+              Cpu.run_waves t.cpu ~head:block_const ~tail:bct
+                ~waves:result.Node_core.br_waves
+                ~costs:(wave_job_costs t block result)
+                (fun stats ->
+                  let bet = stats.Cpu.exec_elapsed in
                   let bpt = block_const +. bet +. bct in
-                  Cpu.run t.cpu ~cost:bpt (fun () -> complete ~bpt ~bet ())))
+                  let cores = Cpu.cores t.cpu in
+                  let occupancy =
+                    if bet > 0. && cores > 0 then
+                      stats.Cpu.exec_busy /. (bet *. float_of_int cores)
+                    else 1.
+                  in
+                  let speedup =
+                    if bet > 0. then serial_bet /. bet else 1.
+                  in
+                  mincr t "validation.blocks";
+                  mobserve t "validation.waves"
+                    (float_of_int stats.Cpu.wave_count);
+                  mobserve t "validation.occupancy" occupancy;
+                  mobserve t "validation.speedup" speedup;
+                  t.val_log <-
+                    ( result.Node_core.br_height,
+                      n,
+                      stats.Cpu.wave_count,
+                      serial_bet,
+                      bet,
+                      occupancy )
+                    :: t.val_log;
+                  complete ~bpt ~bet ())
+            else
+              let bet = serial_bet in
+              let bpt = block_const +. bet +. bct in
+              Cpu.run t.cpu ~cost:bpt (fun () -> complete ~bpt ~bet ()))
 
 let block_is_new t (block : Block.t) =
   let next = Node_core.height t.core + 1 in

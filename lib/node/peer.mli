@@ -121,8 +121,9 @@ val is_crashed : t -> bool
 (** [crash t] simulates a fail-stop crash: the peer stops handling
     messages and leaves the network. [crash ~at t] instead injects a
     §3.6 mid-block crash: the peer dies at the given {!Node_core.crash_point}
-    while processing its next block, leaving a partially-applied block for
-    {!restart} to repair. *)
+    while processing the next block it appends (a block that fails to
+    append is rejected as usual and leaves the crash armed), leaving a
+    partially-applied block for {!restart} to repair. *)
 val crash : ?at:Node_core.crash_point -> t -> unit
 
 (** Restart after a crash: runs {!Node_core.recover} (§3.6 — completing

@@ -145,11 +145,40 @@ let crash_point_scenario point () =
           true
           (Checkpoint.local_hash (Peer.checkpoints p) ~height:h
           = Checkpoint.local_hash (Peer.checkpoints p0) ~height:h
-          && Checkpoint.local_hash (Peer.checkpoints p) ~height:h <> None)
+          && Checkpoint.local_hash (Peer.checkpoints p) ~height:h <> None);
+        (* the repaired block keeps its sys.critical_path row *)
+        let cp q = Node_core.critical_path (Peer.core q) ~height:h in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s critical path at height %d" (Peer.name p) h)
+          true
+          (cp p <> None && cp p = cp p0)
       done)
     (B.peers db);
   Alcotest.(check int) "every tx decided" (B.submitted_count db)
     (B.decided_count db)
+
+(* §3.6 case (a) under EO: the crashed block's transactions got their ids
+   at pre-execution, so id order differs from block order. Recovery must
+   refold the write-set digest in block order; folding in id order forks
+   this seed's victim from the cluster at block 11. *)
+let test_eo_crash_points_converge () =
+  let r =
+    Chaos.run
+      {
+        Chaos.default_spec with
+        Chaos.seed = 3;
+        flow = Node_core.Execute_order;
+        rate = 120.;
+        duration = 0.8;
+        block_size = 8;
+        crashes = 2;
+        partitions = 0;
+        crash_points = true;
+      }
+  in
+  check_report 3 r;
+  Alcotest.(check (list string)) "no decision mismatches" []
+    r.Chaos.decision_mismatches
 
 (* --- bounded inbox -------------------------------------------------------- *)
 
@@ -358,5 +387,7 @@ let suites =
           (crash_point_scenario (Node_core.Crash_mid_commit 1));
         Alcotest.test_case "crash before status step" `Quick
           (crash_point_scenario Node_core.Crash_before_status_step);
+        Alcotest.test_case "EO crash points converge" `Quick
+          test_eo_crash_points_converge;
       ] );
   ]

@@ -482,6 +482,32 @@ let test_serial_baseline_sees_predecessors () =
     (List.for_all is_committed (statuses (List.hd results)));
   Alcotest.(check int) "v = 1" 1 (query_int (node h 0) "SELECT v FROM kv WHERE k = 9")
 
+let test_serial_baseline_records_ledger () =
+  (* The serial flow runs ledger step 1 like every other flow: one
+     pgledger row per accepted transaction (the aborted bump included,
+     the duplicated id not), each finished by the status step. *)
+  let h = setup ~flow:Node_core.Serial_baseline ~n_nodes:1 () in
+  init_chain h;
+  let t1 = tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] in
+  let bump = tx h ~user:"org2/bob" ~contract:"bump" [ Value.Int 404 ] in
+  let results = deliver h [ t1; bump; t1 ] in
+  let accepted =
+    List.filter
+      (function Node_core.S_rejected _ -> false | _ -> true)
+      (statuses (List.hd results))
+  in
+  let n = node h 0 in
+  let tip = Node_core.height n in
+  let catalog = Node_core.catalog n in
+  Alcotest.(check int) "tip recorded" tip
+    (Brdb_ledger.Ledger_table.last_recorded_block catalog);
+  let rows = Brdb_ledger.Ledger_table.block_txs catalog ~height:tip in
+  Alcotest.(check int) "one row per accepted tx" (List.length accepted)
+    (List.length rows);
+  Alcotest.(check int) "two accepted" 2 (List.length accepted);
+  Alcotest.(check bool) "every status recorded" true
+    (List.for_all (fun (_, s) -> s <> None) rows)
+
 let test_oe_same_block_insert_then_bump_aborts () =
   (* Contrast with the serial baseline: in OE both execute on the previous
      block's snapshot, so the bump sees no row and fails. *)
@@ -696,60 +722,122 @@ let test_prune () =
 
 (* ---------------------------------------------------------------- recovery *)
 
-let crash_recovery_scenario ?(atomic_commit = false) crash expect_repair =
-  let h = setup ~atomic_commit () in
+let query_rows n sql =
+  match Node_core.query n sql with
+  | Ok rs ->
+      List.map
+        (fun row -> String.concat "," (Array.to_list (Array.map Value.to_string row)))
+        rs.Brdb_engine.Exec.rows
+  | Error e -> Alcotest.fail e
+
+(* Node 0 crashes at [crash] while processing a block node 1 (the
+   reference) processes normally; after §3.6 recovery node 0 must match
+   the reference on the write-set hash, the decisions, the table state
+   and the sys.critical_path / sys.transactions rows of the repaired
+   height, and both nodes must keep working. Keys 7 and 8 are each bumped
+   twice in the crash block, so under wave validation it runs as two waves
+   (positions 0,1,4,5 then 2,3) and [Crash_mid_commit 5] stops between
+   the two members of the second. *)
+let crash_recovery_scenario ~flow ~parallel ~atomic_commit crash () =
+  let h = setup ~flow ~atomic_commit ~parallel:(fun _ -> parallel) () in
   init_chain h;
-  let txs =
-    [
-      tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 10 ];
-      tx h ~user:"org2/bob" ~contract:"put" [ Value.Int 2; Value.Int 20 ];
-      tx h ~user:"org1/alice" ~contract:"bump" [ Value.Int 404 ];
-    ]
-  in
-  (* node 0 crashes mid-block; node 1 processes normally (the reference). *)
+  let put k v = tx h ~user:"org1/alice" ~contract:"put" [ Value.Int k; Value.Int v ] in
+  let bump k = tx h ~user:"org2/bob" ~contract:"bump" [ Value.Int k ] in
+  ignore (deliver h [ put 7 70; put 8 80 ]);
+  let txs = [ bump 7; bump 8; bump 7; bump 8; put 1 10; bump 404 ] in
   let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
   let prev_hash = match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
   let block = Block.sign (Block.create ~height ~txs ~metadata:"test" ~prev_hash) h.orderer in
   h.prev <- Some block;
-  Node_core.process_block_with_crash (node h 0) block ~crash;
+  let victim = node h 0 and ref_node = node h 1 in
+  (* EO: pre-execute in reverse, so txid order is not block order *)
+  if flow = Node_core.Execute_order then
+    List.iter
+      (fun n ->
+        List.iter
+          (fun tx ->
+            match Node_core.pre_execute n tx with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail e)
+          (List.rev txs))
+      h.nodes;
+  (match Node_core.process_block ~crash victim block with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
   let reference =
-    match Node_core.process_block (node h 1) block with
+    match Node_core.process_block ref_node block with
     | Ok r -> r
     | Error e -> Alcotest.fail e
   in
-  (* restart node 0 *)
-  (match Node_core.recover (node h 0) with
-  | Ok (Some repaired) ->
-      Alcotest.(check bool) "repair expected" true expect_repair;
-      Alcotest.(check string) "write-set hash matches reference"
-        (Brdb_util.Hex.encode reference.Node_core.br_write_set_hash)
-        (Brdb_util.Hex.encode repaired.Node_core.br_write_set_hash)
-  | Ok None -> Alcotest.(check bool) "no repair expected" false expect_repair
+  if parallel && flow <> Node_core.Serial_baseline && crash = Node_core.Crash_mid_commit 5
+  then begin
+    (* the 5th and 6th applies are both members of wave 1 *)
+    let waves = reference.Node_core.br_waves in
+    let order =
+      List.sort compare (List.init (Array.length waves) (fun i -> (waves.(i), i)))
+    in
+    Alcotest.(check (list int)) "crash lands inside the second wave" [ 1; 1 ]
+      [ fst (List.nth order 4); fst (List.nth order 5) ]
+  end;
+  (match Node_core.recover victim with
+  | Ok (Some repaired) -> check_identical h [ reference; repaired ]
+  | Ok None -> Alcotest.fail "crashed block not repaired"
   | Error e -> Alcotest.fail e);
-  (* state converges *)
-  Alcotest.(check int) "kv count equal"
-    (query_int (node h 1) "SELECT COUNT(*) FROM kv")
-    (query_int (node h 0) "SELECT COUNT(*) FROM kv");
+  Alcotest.(check (list string)) "kv state equal"
+    (query_rows ref_node "SELECT k, v FROM kv ORDER BY k")
+    (query_rows victim "SELECT k, v FROM kv ORDER BY k");
+  Alcotest.(check bool) "critical path equal" true
+    (Node_core.critical_path ref_node ~height <> None
+    && Node_core.critical_path ref_node ~height = Node_core.critical_path victim ~height);
+  let sql =
+    Printf.sprintf "SELECT * FROM sys.transactions WHERE block = %d ORDER BY pos" height
+  in
+  Alcotest.(check (list string)) "sys.transactions rows equal" (query_rows ref_node sql)
+    (query_rows victim sql);
   (* both nodes keep working afterwards *)
-  let r = deliver h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 99; Value.Int 9 ] ] in
-  check_identical h r
+  check_identical h (deliver h [ put 99 9 ])
 
-let test_recover_after_ledger_entries () =
-  crash_recovery_scenario Node_core.Crash_after_ledger_entries true
-
-let test_recover_mid_commit () =
-  crash_recovery_scenario (Node_core.Crash_mid_commit 1) true
-
-let test_recover_before_status_step () =
-  crash_recovery_scenario Node_core.Crash_before_status_step true
-
-let test_recover_atomic_commit_mid_crash () =
-  (* §3.6 remark: with atomic whole-block commit a mid-block crash leaves
-     no partial state; recovery always re-executes the block and converges. *)
-  crash_recovery_scenario ~atomic_commit:true (Node_core.Crash_mid_commit 2) true
-
-let test_recover_atomic_commit_before_status () =
-  crash_recovery_scenario ~atomic_commit:true Node_core.Crash_before_status_step true
+(* One case per crash point × flow × wave validation × atomic commit. The
+   OE serial-commit cases keep their historical names. *)
+let recovery_cases =
+  let points =
+    [
+      ( Node_core.Crash_after_ledger_entries,
+        "crash after ledger entries",
+        "after ledger entries" );
+      (Node_core.Crash_mid_commit 1, "crash mid-commit", "mid-crash");
+      (Node_core.Crash_before_status_step, "crash before status step", "before status");
+      (Node_core.Crash_mid_commit 5, "crash mid-wave", "mid-wave");
+    ]
+  in
+  List.concat_map
+    (fun (flow, flow_name) ->
+      List.concat_map
+        (fun parallel ->
+          List.concat_map
+            (fun atomic_commit ->
+              List.map
+                (fun (crash, name, atomic_name) ->
+                  let tags =
+                    String.concat ", "
+                      (List.filter (( <> ) "")
+                         [ flow_name; (if parallel then "waves" else "") ])
+                  in
+                  let name =
+                    (if atomic_commit then "atomic block commit: " ^ atomic_name
+                     else name)
+                    ^ if tags = "" then "" else " [" ^ tags ^ "]"
+                  in
+                  Alcotest.test_case name `Quick
+                    (crash_recovery_scenario ~flow ~parallel ~atomic_commit crash))
+                points)
+            [ false; true ])
+        [ false; true ])
+    [
+      (Node_core.Order_execute, "");
+      (Node_core.Execute_order, "EO");
+      (Node_core.Serial_baseline, "serial");
+    ]
 
 let test_recover_noop_when_consistent () =
   let h = setup ~n_nodes:1 () in
@@ -906,6 +994,8 @@ let suites =
     ( "node.serial",
       [
         Alcotest.test_case "baseline sees predecessors" `Quick test_serial_baseline_sees_predecessors;
+        Alcotest.test_case "baseline records ledger step 1" `Quick
+          test_serial_baseline_records_ledger;
       ] );
     ( "node.governance",
       [
@@ -923,14 +1013,9 @@ let suites =
       ] );
     ( "node.recovery",
       [
-        Alcotest.test_case "crash after ledger entries" `Quick test_recover_after_ledger_entries;
-        Alcotest.test_case "crash mid-commit" `Quick test_recover_mid_commit;
-        Alcotest.test_case "crash before status step" `Quick test_recover_before_status_step;
-        Alcotest.test_case "atomic block commit: mid-crash" `Quick test_recover_atomic_commit_mid_crash;
-        Alcotest.test_case "atomic block commit: before status" `Quick
-          test_recover_atomic_commit_before_status;
         Alcotest.test_case "no-op when consistent" `Quick test_recover_noop_when_consistent;
-      ] );
+      ]
+      @ recovery_cases );
     ( "node.parallel",
       [
         Alcotest.test_case "ww chain splits waves, state identical" `Quick

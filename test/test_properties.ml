@@ -467,11 +467,16 @@ let prop_parallel_equals_serial_eo =
       check_equivalent ~serial:s ~parallel:p rs rp;
       true)
 
+(* The chaos properties below alternate flows by seed parity. *)
+let flow_of_seed seed =
+  if seed mod 2 = 1 then Node_core.Execute_order else Node_core.Order_execute
+
 let prop_chaos_parallel_validation =
   (* The wave scheduler under the full chaos harness — crashes (including
-     mid-block crash points, which recover on the serial path), healing
-     partitions, loss and duplication — must preserve every convergence
-     invariant of the serial-mode chaos properties above. *)
+     mid-block crash points, which stop the wave path itself and recover
+     through it), healing partitions, loss and duplication — must
+     preserve every convergence invariant of the serial-mode chaos
+     properties above, under both flows (EO on odd seeds). *)
   QCheck.Test.make ~name:"chaos: parallel validation preserves convergence"
     ~count:3
     (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 9999))
@@ -480,6 +485,7 @@ let prop_chaos_parallel_validation =
         {
           Brdb_core.Chaos.default_spec with
           Brdb_core.Chaos.seed = seed + 23;
+          flow = flow_of_seed seed;
           parallel_validation = true;
           rate = 120.;
           duration = 0.7;
@@ -563,7 +569,7 @@ let prop_chaos_decisions_agree_even_when_reasons_diverge =
      one node can surface as a stale read on another), but the
      commit/abort *decision* and the write-set hashes never may. The
      harness records both; reason divergences are tolerated, decision
-     mismatches fail the property. *)
+     mismatches fail the property. EO on odd seeds. *)
   QCheck.Test.make
     ~name:"chaos: abort reasons may diverge, decisions and hashes never"
     ~count:5
@@ -573,6 +579,7 @@ let prop_chaos_decisions_agree_even_when_reasons_diverge =
         {
           Brdb_core.Chaos.default_spec with
           Brdb_core.Chaos.seed = seed + 17;
+          flow = flow_of_seed seed;
           rate = 120.;
           duration = 0.7;
           block_size = 6;
