@@ -1,6 +1,6 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation (§5) on the simulated testbed, plus Bechamel wall-clock
-    micro-benchmarks of the engine primitives.
+    evaluation (§5) on the simulated testbed, plus Bechamel micro-benchmarks
+    (host time and minor-heap words) of the engine primitives.
 
     Usage:
       dune exec bench/main.exe                 # all experiments
@@ -99,7 +99,7 @@ let () =
     exit 0
   end;
   if has "--micro" then begin
-    print_endline "== Bechamel micro-benchmarks (wall clock)";
+    print_endline "== Bechamel micro-benchmarks (host clock and minor-heap words)";
     Micro.benchmark ();
     exit 0
   end;

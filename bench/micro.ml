@@ -1,6 +1,7 @@
-(** Bechamel micro-benchmarks of the real engine primitives (wall-clock,
+(** Bechamel micro-benchmarks of the real engine primitives (host clock,
     as opposed to the simulated-time experiments): SHA-256, signatures,
-    inserts, indexed selects, joins, and a full OE block commit. *)
+    field exponentiation, Merkle roots, inserts, indexed selects and joins.
+    Each row reports both costs: nanoseconds and minor-heap words per run. *)
 
 open Bechamel
 open Toolkit
@@ -33,16 +34,34 @@ let fixture rows =
   Manager.commit mgr txn ~height:1;
   (catalog, mgr)
 
+module Crypto = Brdb_crypto
+
 let bench_sha256 =
   let payload = String.make 1024 'x' in
-  Test.make ~name:"sha256 (1 KiB)" (Staged.stage (fun () -> Brdb_crypto.Sha256.digest payload))
+  Test.make ~name:"sha256 (1 KiB)" (Staged.stage (fun () -> Crypto.Sha256.digest payload))
 
-let bench_sign_verify =
-  let sk, pk = Brdb_crypto.Schnorr.keygen ~seed:"bench" in
-  Test.make ~name:"schnorr sign+verify"
-    (Staged.stage (fun () ->
-         let s = Brdb_crypto.Schnorr.sign sk "payload" in
-         assert (Brdb_crypto.Schnorr.verify pk "payload" s)))
+let bench_sha256_small =
+  let payload = String.make 50 'x' in
+  Test.make ~name:"sha256 (50 B)" (Staged.stage (fun () -> Crypto.Sha256.digest payload))
+
+let sk, pk = Crypto.Schnorr.keygen ~seed:"bench"
+
+let bench_sign =
+  Test.make ~name:"schnorr sign" (Staged.stage (fun () -> Crypto.Schnorr.sign sk "payload"))
+
+let bench_verify =
+  let s = Crypto.Schnorr.sign sk "payload" in
+  Test.make ~name:"schnorr verify"
+    (Staged.stage (fun () -> assert (Crypto.Schnorr.verify pk "payload" s)))
+
+let bench_pow =
+  let e = Int64.sub Crypto.Field61.p 2L in
+  Test.make ~name:"field61 pow" (Staged.stage (fun () -> Crypto.Field61.pow 37L e))
+
+let bench_merkle =
+  let leaves = List.init 100 (Printf.sprintf "leaf-%04d") in
+  Test.make ~name:"merkle root (100 leaves)"
+    (Staged.stage (fun () -> Crypto.Merkle.root leaves))
 
 let with_txn (catalog, mgr) f =
   let id = ref 0 in
@@ -127,14 +146,36 @@ let bench_topk = bench_query ~name:"ORDER BY LIMIT 5 (top-k heap)" ~hash_ops:tru
 let bench_sort_limit =
   bench_query ~name:"ORDER BY LIMIT 5 (full sort)" ~hash_ops:false topk_sql
 
-let instances = Instance.[ monotonic_clock ]
+(* Minor-heap words per run, counted as [Instance.minor_allocated] counts
+   them but read from [Gc.minor_words]: on OCaml 5 the [Gc.quick_stat]
+   figure that instance reads moves only at minor collections, so a
+   primitive allocating a few dozen words per run would read as 0. *)
+module Minor_words = struct
+  type witness = unit
+
+  let label () = "minor-allocated"
+  let unit () = "words"
+  let make () = ()
+  let load () = ()
+  let unload () = ()
+  let get () = Gc.minor_words ()
+end
+
+let minor_allocated =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
+let instances = [ Instance.monotonic_clock; minor_allocated ]
 
 let benchmark () =
   let tests =
     Test.make_grouped ~name:"brdb"
       [
         bench_sha256;
-        bench_sign_verify;
+        bench_sha256_small;
+        bench_sign;
+        bench_verify;
+        bench_pow;
+        bench_merkle;
         bench_insert;
         bench_pk_select;
         bench_join_aggregate;
@@ -148,17 +189,21 @@ let benchmark () =
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
   let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instance raw) instances
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
+  let results = Analyze.merge ols instances (List.map (fun i -> Analyze.all ols i raw) instances) in
+  let estimate instance test =
+    match Hashtbl.find_opt results (Measure.label instance) with
+    | None -> nan
+    | Some tbl -> (
+        match Option.map Analyze.OLS.estimates (Hashtbl.find_opt tbl test) with
+        | Some (Some [ est ]) -> est
+        | _ -> nan)
   in
-  let results = Analyze.merge (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]) instances results in
-  Hashtbl.iter
-    (fun name tbl ->
-      Hashtbl.iter
-        (fun test result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "%-32s %12.1f ns/run (%s)\n%!" test est name
-          | _ -> ())
-        tbl)
-    results
+  Printf.printf "%-40s %12s %12s\n" "" "ns/run" "words/run";
+  List.iter
+    (fun test ->
+      let name = Test.Elt.name test in
+      Printf.printf "%-40s %12.1f %12.1f\n%!" name
+        (estimate Instance.monotonic_clock name)
+        (estimate minor_allocated name))
+    (Test.elements tests)

@@ -1,88 +1,106 @@
-let p = 2305843009213693951L (* 2^61 - 1 *)
+(* Elements travel as [int64] at the interface but every computation runs
+   on native ints: p = 2^61 - 1 < max_int = 2^62 - 1, and every partial
+   product below stays under 2^62, so nothing is boxed until the result
+   is returned. *)
 
-let norm x =
-  let x = Int64.rem x p in
-  if Int64.compare x 0L < 0 then Int64.add x p else x
+let p_int = (1 lsl 61) - 1
 
-let add a b =
-  let s = Int64.add a b in
-  if Int64.compare s p >= 0 then Int64.sub s p else s
+let p = Int64.of_int p_int (* 2^61 - 1 *)
 
-let sub a b = if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) p
+(* Arithmetic modulo [m] on native ints: [norm_int] takes any int64,
+   [add_mod]/[sub_mod] take operands already in [0, m). *)
+let[@inline] norm_int m x =
+  let x = Int64.to_int (Int64.rem x (Int64.of_int m)) in
+  if x < 0 then x + m else x
 
-(* Reduce a value < 2^63 using 2^61 = 1 (mod p): split into low 61 bits and
+let[@inline] add_mod m a b =
+  let s = a + b in
+  if s >= m then s - m else s
+
+let[@inline] sub_mod m a b = if a >= b then a - b else a - b + m
+
+let[@inline] lift2 f a b = Int64.of_int (f (Int64.to_int a) (Int64.to_int b))
+
+let norm x = Int64.of_int (norm_int p_int x)
+
+let add_int a b = add_mod p_int a b
+
+let sub_int a b = sub_mod p_int a b
+
+let add a b = lift2 add_int a b
+
+let sub a b = lift2 sub_int a b
+
+(* Reduce a value < 2^62 using 2^61 = 1 (mod p): split into low 61 bits and
    the high remainder. *)
-let reduce x =
-  let lo = Int64.logand x (Int64.sub (Int64.shift_left 1L 61) 1L) in
-  let hi = Int64.shift_right_logical x 61 in
-  let s = Int64.add lo hi in
-  if Int64.compare s p >= 0 then Int64.sub s p else s
+let[@inline] reduce x = add_int (x land p_int) (x lsr 61)
 
 (* a * b mod p with a, b < 2^61. Split a = a1*2^31 + a0 (a1 < 2^30,
    a0 < 2^31):
      a*b = a1*b*2^31 + a0*b.
    Each partial product is itself reduced by splitting b. *)
-let mul a b =
-  let mask31 = 0x7fffffffL in
-  let a1 = Int64.shift_right_logical a 31 in
-  let a0 = Int64.logand a mask31 in
-  let b1 = Int64.shift_right_logical b 31 in
-  let b0 = Int64.logand b mask31 in
+let mul_int a b =
+  let mask31 = 0x7fffffff in
+  let a1 = a lsr 31 and a0 = a land mask31 in
+  let b1 = b lsr 31 and b0 = b land mask31 in
   (* a1*b1 < 2^60; times 2^62 = 2 (mod p). *)
-  let t_hh = reduce (Int64.mul a1 b1) in
-  let t_hh = add t_hh t_hh in
+  let t_hh = reduce (a1 * b1) in
+  let t_hh = add_int t_hh t_hh in
   (* mid = a1*b0 + a0*b1 < 2^62; mid * 2^31 (mod p): split mid into
      mid_hi*2^30 + mid_lo so mid*2^31 = mid_hi*2^61 + mid_lo*2^31
                                       = mid_hi + mid_lo*2^31 (mod p). *)
-  let mid = Int64.add (Int64.mul a1 b0) (Int64.mul a0 b1) in
-  let mid_hi = Int64.shift_right_logical mid 30 in
-  let mid_lo = Int64.logand mid 0x3fffffffL in
-  let t_mid = add (reduce mid_hi) (reduce (Int64.shift_left mid_lo 31)) in
+  let mid = (a1 * b0) + (a0 * b1) in
+  let t_mid = add_int (reduce (mid lsr 30)) (reduce ((mid land 0x3fffffff) lsl 31)) in
   (* a0*b0 < 2^62. *)
-  let t_ll = reduce (Int64.mul a0 b0) in
-  add (add t_hh t_mid) t_ll
+  add_int (add_int t_hh t_mid) (reduce (a0 * b0))
+
+let mul a b = lift2 mul_int a b
+
+let rec pow_loop acc b e =
+  if e = 0 then acc
+  else pow_loop (if e land 1 = 1 then mul_int acc b else acc) (mul_int b b) (e lsr 1)
+
+let rec square_n b n = if n = 0 then b else square_n (mul_int b b) (n - 1)
 
 let pow b e =
   if Int64.compare e 0L < 0 then invalid_arg "Field61.pow: negative exponent";
-  let rec loop acc b e =
-    if Int64.equal e 0L then acc
-    else
-      let acc = if Int64.equal (Int64.logand e 1L) 1L then mul acc b else acc in
-      loop acc (mul b b) (Int64.shift_right_logical e 1)
+  let b = norm_int p_int b in
+  (* A non-negative int64 has 63 significant bits, one more than a
+     non-negative native int: bits 0..61 run the square-and-multiply loop
+     and bit 62 multiplies in b^(2^62) at the end. *)
+  let low = Int64.to_int e land max_int in
+  let acc = pow_loop 1 b low in
+  let acc =
+    if Int64.compare e (Int64.of_int max_int) > 0 then mul_int acc (square_n b 62) else acc
   in
-  loop 1L (norm b) e
+  Int64.of_int acc
 
 module Order = struct
-  let n = Int64.sub p 1L
+  let n_int = p_int - 1
 
-  let norm x =
-    let x = Int64.rem x n in
-    if Int64.compare x 0L < 0 then Int64.add x n else x
+  let n = Int64.of_int n_int
 
-  let add a b =
-    let s = Int64.add a b in
-    if Int64.compare s n >= 0 then Int64.sub s n else s
+  let norm x = Int64.of_int (norm_int n_int x)
 
-  let sub a b =
-    if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) n
+  let add_int a b = add_mod n_int a b
+
+  let sub_int a b = sub_mod n_int a b
+
+  let add a b = lift2 add_int a b
+
+  let sub a b = lift2 sub_int a b
 
   (* Multiplication mod (p - 1) via mod-p tricks is unsound; use the
-     double-and-add ladder instead (log-time, overflow-free). *)
-  let mul a b =
-    let a = norm a and b = norm b in
-    let rec loop acc a b =
-      if Int64.equal b 0L then acc
-      else
-        let acc = if Int64.equal (Int64.logand b 1L) 1L then add acc a else acc in
-        loop acc (add a a) (Int64.shift_right_logical b 1)
-    in
-    loop 0L a b
+     double-and-add ladder instead (log-time, overflow-free: every sum
+     stays below 2 * n < 2^62). *)
+  let rec ladder acc a b =
+    if b = 0 then acc
+    else
+      ladder (if b land 1 = 1 then add_int acc a else acc) (add_int a a) (b lsr 1)
+
+  let mul a b = Int64.of_int (ladder 0 (norm_int n_int a) (norm_int n_int b))
 end
 
 let of_bytes s =
   if String.length s < 8 then invalid_arg "Field61.of_bytes: need 8 bytes";
-  let x = ref 0L in
-  for i = 0 to 7 do
-    x := Int64.logor (Int64.shift_left !x 8) (Int64.of_int (Char.code s.[i]))
-  done;
-  norm (Int64.logand !x Int64.max_int)
+  norm (Int64.logand (String.get_int64_be s 0) Int64.max_int)

@@ -42,4 +42,9 @@ module Registry : sig
   val verify : t -> name:string -> string -> Schnorr.signature -> bool
 
   val names : t -> string list
+
+  (** Bumped by every key change ({!register}, {!register_key}, {!set},
+      {!remove}); a check made under one generation is stale under the
+      next. *)
+  val generation : t -> int
 end

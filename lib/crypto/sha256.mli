@@ -21,5 +21,10 @@ val init : unit -> ctx
 
 val feed : ctx -> string -> unit
 
+(** [feed_part ctx s] feeds one {!digest_concat} part — [String.length s]
+    as 4 big-endian bytes, then [s] — without allocating, so callers can
+    stream that framing instead of building a list. *)
+val feed_part : ctx -> string -> unit
+
 (** [finalize ctx] returns the digest; the context must not be reused. *)
 val finalize : ctx -> string

@@ -2,7 +2,7 @@ open Brdb_util
 
 type t = { blocks : Block.t Vec.t }
 
-type error = [ `Out_of_sequence | `Broken_chain | `Bad_block ]
+type error = [ `Out_of_sequence | `Broken_chain ]
 
 let create () = { blocks = Vec.create () }
 
@@ -13,12 +13,6 @@ let last t = Vec.last t.blocks
 let append t (b : Block.t) =
   if b.Block.height <> height t + 1 then Error `Out_of_sequence
   else if not (Block.chains_from b ~prev:(last t)) then Error `Broken_chain
-  else if
-    not
-      (String.equal b.Block.hash
-         (Block.compute_hash ~height:b.Block.height ~txs:b.Block.txs
-            ~metadata:b.Block.metadata ~prev_hash:b.Block.prev_hash))
-  then Error `Bad_block
   else begin
     ignore (Vec.push t.blocks b);
     Ok ()
@@ -47,10 +41,16 @@ let restore t blocks =
   let rec load = function
     | [] -> Ok ()
     | b :: rest -> (
-        match append scratch b with
-        | Ok () -> load rest
-        | Error _ ->
-            Error (Printf.sprintf "block %d does not chain" b.Block.height))
+        if
+          not
+            (String.equal b.Block.hash
+               (Block.compute_hash ~height:b.Block.height ~txs:b.Block.txs
+                  ~metadata:b.Block.metadata ~prev_hash:b.Block.prev_hash))
+        then Error (Printf.sprintf "block %d hash does not recompute" b.Block.height)
+        else
+          match append scratch b with
+          | Ok () -> load rest
+          | Error _ -> Error (Printf.sprintf "block %d does not chain" b.Block.height))
   in
   match load blocks with
   | Error _ as e -> e

@@ -1,13 +1,15 @@
 (** Append-only block store (the [pgBlockstore] analogue).
 
     Blocks must arrive in sequence and chain correctly; [append] rejects
-    gaps, duplicates and hash-chain breaks. {!audit} re-verifies the whole
-    chain, which is how tampering by a malicious node is detected
-    (§3.5 item 6). *)
+    gaps, duplicates and hash-chain breaks. It trusts the block's own hash:
+    callers check it first ({!Block.verify}, once per node — DESIGN.md §4),
+    and {!restore}, which loads blocks nobody has checked, recomputes it.
+    {!audit} re-verifies the whole chain, which is how tampering by a
+    malicious node is detected (§3.5 item 6). *)
 
 type t
 
-type error = [ `Out_of_sequence | `Broken_chain | `Bad_block ]
+type error = [ `Out_of_sequence | `Broken_chain ]
 
 val create : unit -> t
 
@@ -25,9 +27,10 @@ val iter : t -> (Block.t -> unit) -> unit
 val audit : t -> Brdb_crypto.Identity.Registry.t -> (unit, int) result
 
 (** [restore t blocks] replaces the store's contents with [blocks]
-    (heights 1..n, snapshot install — DESIGN.md §11). The sequence is
-    validated exactly as by repeated {!append}; on [Error] the store is
-    unchanged. Signatures are not checked here — run {!audit} after. *)
+    (heights 1..n, snapshot install — DESIGN.md §11). Every block's hash
+    must recompute and the sequence is validated exactly as by repeated
+    {!append}; on [Error] the store is unchanged. Signatures are not
+    checked here — run {!audit} after. *)
 val restore : t -> Block.t list -> (unit, string) result
 
 (** Tamper with a stored block (testing §3.5 scenarios only). *)

@@ -88,8 +88,17 @@ type t = {
      replaced wholesale when recovery re-executes a block *)
   tx_log : (int, tx_record list) Hashtbl.t;
   (* height -> write-set digest (§3.3.4): the per-block state digest the
-     divergence monitor publishes into sys.blocks *)
+     divergence monitor publishes into sys.blocks. Written only through
+     [set_digest]/[reset_digests], which keep [chained] coherent. *)
   digests : (int, string) Hashtbl.t;
+  (* height -> chained state digest, valid for heights 1..[chained_upto] *)
+  chained : (int, string) Hashtbl.t;
+  mutable chained_upto : int;
+  (* Blocks this node has verified (see [verify_block]): slot
+     [height mod verified_slots] holds the last one checked at that
+     height and the registry generation it was checked under. *)
+  verified : Block.t option array;
+  verified_gen : int array;
   (* height -> Merkle leaves of the write-set root (ISSUE 10): the
      canonical per-write entry strings provenance proofs are built from.
      Absent for heights installed from a snapshot — the proof floor. *)
@@ -100,6 +109,8 @@ type t = {
   (* height -> dependency-DAG analysis; replaced wholesale on recovery *)
   cp_log : (int, cp_entry) Hashtbl.t;
 }
+
+let verified_slots = 64
 
 let create config ~registry =
   let catalog = Catalog.create () in
@@ -118,6 +129,10 @@ let create config ~registry =
     exec_totals = Exec.new_stats ();
     tx_log = Hashtbl.create 64;
     digests = Hashtbl.create 64;
+    chained = Hashtbl.create 64;
+    chained_upto = 0;
+    verified = Array.make verified_slots None;
+    verified_gen = Array.make verified_slots 0;
     ws_entries = Hashtbl.create 64;
     tet_model = (fun _ -> 0.);
     cp_log = Hashtbl.create 64;
@@ -134,14 +149,28 @@ let exec_totals t = t.exec_totals
 (* Chained state digest at [height]: a running hash over every block's
    write-set hash up to [height]. Cumulative on purpose — once two nodes
    diverge at block d their chained digests differ at every height >= d,
-   which is the monotonicity SQL bisection over sys.blocks relies on. *)
+   which is the monotonicity SQL bisection over sys.blocks relies on.
+   Memoised per height, so the health tick's call per peer extends the
+   chain by the new blocks instead of re-folding it from genesis. *)
 let chained_digest t ~height =
-  let acc = ref Block.genesis_hash in
-  for h = 1 to height do
+  for h = t.chained_upto + 1 to height do
+    let prev = if h = 1 then Block.genesis_hash else Hashtbl.find t.chained (h - 1) in
     let ws = Option.value (Hashtbl.find_opt t.digests h) ~default:"" in
-    acc := Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ !acc; ws ])
+    Hashtbl.replace t.chained h
+      (Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ prev; ws ]));
+    t.chained_upto <- h
   done;
-  !acc
+  if height < 1 then Block.genesis_hash else Hashtbl.find t.chained height
+
+(* The only writers of [t.digests]: each drops the memoised chained
+   digests from the written height up. *)
+let set_digest t ~height ws =
+  Hashtbl.replace t.digests height ws;
+  t.chained_upto <- min t.chained_upto (height - 1)
+
+let reset_digests t =
+  Hashtbl.reset t.digests;
+  t.chained_upto <- 0
 
 let state_digest t ~height =
   if height < 1 || height > Block_store.height t.store then None
@@ -159,7 +188,7 @@ let write_set_entries_at t ~height = Hashtbl.find_opt t.ws_entries height
 let tamper_digest_for_test t ~height =
   match Hashtbl.find_opt t.digests height with
   | None -> ()
-  | Some d -> Hashtbl.replace t.digests height ("tampered:" ^ d)
+  | Some d -> set_digest t ~height ("tampered:" ^ d)
 
 let config t = t.config
 
@@ -226,12 +255,8 @@ let register_sys_views t =
         col "state_digest" T_text;
       ]
     ~rows:(fun ~height ->
-      let rows = ref [] and digest = ref Block.genesis_hash in
+      let rows = ref [] in
       for h = 1 to height do
-        let ws = Option.value (Hashtbl.find_opt t.digests h) ~default:"" in
-        digest :=
-          Brdb_util.Hex.encode
-            (Brdb_crypto.Sha256.digest_concat [ !digest; ws ]);
         match Block_store.get t.store h with
         | None -> ()
         | Some b ->
@@ -242,7 +267,7 @@ let register_sys_views t =
                 Value.Text b.Block.hash;
                 Value.Text b.Block.prev_hash;
                 Value.Int b.Block.height;
-                Value.Text !digest;
+                Value.Text (chained_digest t ~height:h);
               |]
               :: !rows
       done;
@@ -1035,7 +1060,7 @@ let complete_block t (block : Block.t) ~missing ~waves ~fresh outcomes =
            r_status = status;
          })
        (List.combine block.Block.txs outcomes));
-  Hashtbl.replace t.digests block_height result.br_write_set_hash;
+  set_digest t ~height:block_height result.br_write_set_hash;
   Hashtbl.replace t.ws_entries block_height ws_leaves;
   (* Garbage-collect bookkeeping for long-finished transactions (their
      effects live on in the heap; duplicate-id detection is preserved).
@@ -1091,8 +1116,24 @@ let process_appended ?crash t (block : Block.t) =
         br_fresh = [||];
       }
 
+(* The memo is keyed on the physical block, not on its claimed hash: a
+   tampered copy is a different object and gets a full check, so the memo
+   never lets a node trust a block it did not check itself. *)
+let verify_block t (block : Block.t) =
+  let slot = block.Block.height land (verified_slots - 1) in
+  let generation = Identity.Registry.generation t.registry in
+  match t.verified.(slot) with
+  | Some b when b == block && t.verified_gen.(slot) = generation -> true
+  | _ ->
+      let ok = Block.verify t.registry block in
+      if ok then begin
+        t.verified.(slot) <- Some block;
+        t.verified_gen.(slot) <- generation
+      end;
+      ok
+
 let verify_and_append t block =
-  if not (Block.verify t.registry block) then Error "invalid block (hash or signatures)"
+  if not (verify_block t block) then Error "invalid block (hash or signatures)"
   else
     match Block_store.append t.store block with
     | Error `Out_of_sequence ->
@@ -1100,7 +1141,6 @@ let verify_and_append t block =
           (Printf.sprintf "block %d out of sequence (at height %d)" block.Block.height
              (height t))
     | Error `Broken_chain -> Error "broken hash chain"
-    | Error `Bad_block -> Error "corrupt block"
     | Ok () -> Ok ()
 
 let process_block ?crash t block =
@@ -1185,7 +1225,7 @@ let reset_half_installed t =
     (fun (name, _, _) -> ignore (Registry.drop t.contracts ~name))
     (Registry.export_procedural t.contracts);
   Manager.restore_globals t.manager ~next_txid:1 [];
-  Hashtbl.reset t.digests;
+  reset_digests t;
   Hashtbl.reset t.ws_entries;
   Hashtbl.reset t.tx_log;
   Hashtbl.reset t.exec_versions;
@@ -1448,8 +1488,8 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
              stays set, exactly the window §11 recovery must handle. *)
           Ok ()
       | Ok () ->
-          Hashtbl.reset t.digests;
-          List.iteri (fun i ws -> Hashtbl.replace t.digests (i + 1) ws) digests;
+          reset_digests t;
+          List.iteri (fun i ws -> set_digest t ~height:(i + 1) ws) digests;
           (* Snapshots carry the per-block roots, not the underlying write
              entries — installed heights sit below the provenance-proof
              floor (ISSUE 10). *)

@@ -132,6 +132,14 @@ type crash_point =
       (** after the critical-path log: every commit/abort applied and
           WAL'd, ledger step 2 and the digest bookkeeping missing *)
 
+(** [verify_block t block] is [Block.verify] under this node's identity
+    registry, run at most once per (node, block): a block object this node
+    already verified, under a registry with no key change since, is not
+    hashed or signature-checked again. Any other block — a tampered copy
+    included — is checked in full. {!process_block} and the peer's block
+    admission both verify through here (DESIGN.md §4). *)
+val verify_block : t -> Brdb_ledger.Block.t -> bool
+
 (** Process the next block (verification, execution, commit, ledger
     bookkeeping, write-set hash). [Error] on out-of-sequence or invalid
     blocks, before any processing. With [crash], a verified block is

@@ -276,8 +276,9 @@ let arm_fetch ?(blind = false) ?(delay = 0.) t =
 (* --- §4.4 authenticated block delivery ------------------------------------ *)
 
 (* A block is admitted into the inbox only if its hash recomputes and it
-   carries at least one valid orderer signature ({!Block.verify}), and if
-   no differently-hashed valid block already occupies the height — in the
+   carries at least one valid orderer signature ({!Node_core.verify_block};
+   its memo spares the append path a second check of the same block), and
+   if no differently-hashed valid block already occupies the height — in the
    store or in the inbox (equivocation: keep the first admitted block).
    A rejection is evidence the delivering link is tampering or the source
    equivocating, so catch-up is armed to pull the height from a rotating
@@ -294,7 +295,7 @@ let reject_block t ~why =
   arm_fetch t ~blind:true ~delay:t.config.fetch_timeout
 
 let admit_block t (block : Block.t) =
-  if not (Block.verify (Node_core.identity_registry t.core) block) then begin
+  if not (Node_core.verify_block t.core block) then begin
     reject_block t ~why:"auth";
     false
   end

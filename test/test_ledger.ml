@@ -94,6 +94,20 @@ let test_block_store_sequencing () =
   Alcotest.(check bool) "get 0" true (Block_store.get s 0 = None);
   Alcotest.(check bool) "get 9" true (Block_store.get s 9 = None)
 
+let test_block_store_restore_rechecks_hash () =
+  let b1 = block ~height:1 ~prev:None [ tx 1 ] in
+  let b2 = block ~height:2 ~prev:(Some b1) [ tx 2 ] in
+  let s = Block_store.create () in
+  Alcotest.(check bool) "clean restore" true (Block_store.restore s [ b1; b2 ] = Ok ());
+  (* Same height, prev_hash and stored hash, so it chains — but the hash
+     does not recompute over the altered transactions. *)
+  let forged = { b2 with Block.txs = [ tx 99 ] } in
+  let fresh = Block_store.create () in
+  (match Block_store.restore fresh [ b1; forged ] with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "restore accepted a block whose hash does not recompute");
+  Alcotest.(check int) "store unchanged" 0 (Block_store.height fresh)
+
 let test_block_store_audit () =
   let r = registry () in
   let s = Block_store.create () in
@@ -148,6 +162,8 @@ let suites =
       [
         Alcotest.test_case "sequencing" `Quick test_block_store_sequencing;
         Alcotest.test_case "audit" `Quick test_block_store_audit;
+        Alcotest.test_case "restore re-checks block hashes" `Quick
+          test_block_store_restore_rechecks_hash;
       ] );
     ("ledger.table", [ Alcotest.test_case "two atomic steps" `Quick test_ledger_table_steps ]);
   ]

@@ -868,6 +868,76 @@ let test_block_store_tamper_detection () =
   | Ok () -> Alcotest.fail "tampering undetected"
   | Error height -> Alcotest.(check int) "detected at block 2" 2 height
 
+(* The next block of [h]'s chain, signed but not delivered. *)
+let next_block h txs =
+  let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
+  let prev_hash = match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
+  Block.sign (Block.create ~height ~txs ~metadata:"test" ~prev_hash) h.orderer
+
+let test_verify_memo_rechecks_tampered_copy () =
+  let h = setup ~n_nodes:1 () in
+  init_chain h;
+  let n = node h 0 in
+  let block = next_block h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] ] in
+  Alcotest.(check bool) "admitted" true (Node_core.verify_block n block);
+  Alcotest.(check bool) "memo hit" true (Node_core.verify_block n block);
+  (* Copies of the admitted block: same stored hash, altered content. *)
+  let forged_txs = { block with Block.txs = [] } in
+  let forged_meta = { block with Block.metadata = "evil" } in
+  Alcotest.(check bool) "forged txs rejected" false (Node_core.verify_block n forged_txs);
+  Alcotest.(check bool) "forged metadata rejected" false (Node_core.verify_block n forged_meta);
+  (* A key change forces a re-check of the very same object. *)
+  Identity.Registry.remove h.registry "orderer/1";
+  Alcotest.(check bool) "signer revoked" false (Node_core.verify_block n block);
+  Identity.Registry.set h.registry ~name:"orderer/1" (Identity.public_key h.orderer);
+  Alcotest.(check bool) "signer restored" true (Node_core.verify_block n block)
+
+let test_process_block_rejects_tampered_copy () =
+  let h = setup ~n_nodes:1 () in
+  init_chain h;
+  let n = node h 0 in
+  let block = next_block h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] ] in
+  Alcotest.(check bool) "admitted" true (Node_core.verify_block n block);
+  (match Node_core.process_block n { block with Block.txs = [] } with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "tampered copy of an admitted block was processed");
+  Alcotest.(check int) "nothing appended" 1 (Node_core.height n);
+  match Node_core.process_block n block with
+  | Ok _ -> Alcotest.(check int) "honest block appended" 2 (Node_core.height n)
+  | Error e -> Alcotest.fail e
+
+(* The memoised chained digest equals the fold from genesis at every
+   height, through new blocks and a tampered write-set hash. *)
+let test_chained_digest_cache () =
+  let h = setup ~n_nodes:1 () in
+  init_chain h;
+  let n = node h 0 in
+  let reference height =
+    let acc = ref Block.genesis_hash in
+    for i = 1 to height do
+      let ws = Option.value (Node_core.write_set_hash n ~height:i) ~default:"" in
+      acc := Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ !acc; ws ])
+    done;
+    !acc
+  in
+  let check_all what =
+    for i = 1 to Node_core.height n do
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: height %d" what i)
+        (Some (reference i))
+        (Node_core.state_digest n ~height:i)
+    done
+  in
+  for k = 1 to 4 do
+    ignore (deliver h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int k; Value.Int k ] ]);
+    check_all "after block"
+  done;
+  let before = Node_core.state_digest n ~height:2 in
+  Node_core.tamper_digest_for_test n ~height:3;
+  check_all "after tamper";
+  Alcotest.(check (option string)) "below the tamper unchanged" before
+    (Node_core.state_digest n ~height:2)
+
 let test_checkpoint_divergence () =
   let cp = Brdb_ledger.Checkpoint.create ~self:"db-1" ~peers:[ "db-1"; "db-2"; "db-3" ] in
   Brdb_ledger.Checkpoint.record_local cp ~height:1 ~hash:"aaa";
@@ -1028,6 +1098,12 @@ let suites =
     ( "node.security",
       [
         Alcotest.test_case "block store tampering" `Quick test_block_store_tamper_detection;
+        Alcotest.test_case "verify memo re-checks a tampered copy" `Quick
+          test_verify_memo_rechecks_tampered_copy;
+        Alcotest.test_case "process_block rejects a tampered copy" `Quick
+          test_process_block_rejects_tampered_copy;
+        Alcotest.test_case "chained digest cache = fold from genesis" `Quick
+          test_chained_digest_cache;
         Alcotest.test_case "checkpoint divergence" `Quick test_checkpoint_divergence;
       ] );
   ]
