@@ -1,6 +1,7 @@
 (** Bechamel micro-benchmarks of the real engine primitives (host clock,
     as opposed to the simulated-time experiments): SHA-256, signatures,
-    field exponentiation, Merkle roots, inserts, indexed selects and joins.
+    field exponentiation, Merkle roots, inserts, indexed selects, joins and
+    SSI conflict detection.
     Each row reports both costs: nanoseconds and minor-heap words per run. *)
 
 open Bechamel
@@ -146,6 +147,34 @@ let bench_topk = bench_query ~name:"ORDER BY LIMIT 5 (top-k heap)" ~hash_ops:tru
 let bench_sort_limit =
   bench_query ~name:"ORDER BY LIMIT 5 (full sort)" ~hash_ops:false topk_sql
 
+(* One block's SSI graph (§3.3.3): [n] pending transactions, each reading
+   a group by primary key and inserting an item — a lookup-then-insert
+   contract. Detection cost should grow linearly with [n]. *)
+let bench_detect n =
+  let catalog, mgr = fixture 100 in
+  let txns =
+    List.init n (fun i ->
+        match
+          Manager.begin_txn mgr ~global_id:(Printf.sprintf "d%d" i) ~client:"bench"
+            ~snapshot_height:1 ()
+        with
+        | Error _ -> assert false
+        | Ok txn ->
+            List.iter
+              (fun sql ->
+                match Exec.execute_sql catalog txn sql with
+                | Ok _ -> ()
+                | Error e -> failwith (Exec.error_to_string e))
+              [
+                Printf.sprintf "SELECT name FROM grps WHERE grp = %d" (i mod 10);
+                Printf.sprintf "INSERT INTO items VALUES (%d, %d, 1)" (100000 + i) (i mod 10);
+              ];
+            txn)
+  in
+  Test.make
+    ~name:(Printf.sprintf "ssi detect (%d txns)" n)
+    (Staged.stage (fun () -> Brdb_ssi.Detect.compute catalog txns))
+
 (* Minor-heap words per run, counted as [Instance.minor_allocated] counts
    them but read from [Gc.minor_words]: on OCaml 5 the [Gc.quick_stat]
    figure that instance reads moves only at minor collections, so a
@@ -185,6 +214,8 @@ let benchmark () =
         bench_sort_agg;
         bench_topk;
         bench_sort_limit;
+        bench_detect 100;
+        bench_detect 400;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in

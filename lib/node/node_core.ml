@@ -773,10 +773,11 @@ let schedule t slots =
         | Execute_order ->
             (* Conflicts may involve in-flight transactions of other
                blocks (Table 2's cross-block rows). *)
-            let block_ids = List.map (fun txn -> txn.Txn.txid) block_txns in
+            let block_ids = Hashtbl.create 64 in
+            List.iter (fun txn -> Hashtbl.replace block_ids txn.Txn.txid ()) block_txns;
             block_txns
             @ List.filter
-                (fun txn -> not (List.mem txn.Txn.txid block_ids))
+                (fun txn -> not (Hashtbl.mem block_ids txn.Txn.txid))
                 (Manager.pending t.manager)
         | _ -> block_txns
       in
@@ -901,38 +902,13 @@ let schedule t slots =
       (* Wave schedule: Rules.decide_plain/decide_block_aware read (and
          can mark) transactions up to two rw hops away (far --rw--> near
          --rw--> me), so two positions within rw distance 2 must not
-         share a wave even without a direct edge. These closure edges
-         are scheduling constraints only and stay out of the
-         critical-path log, which records data dependencies. *)
-      let closure_edges =
-        let nbrs = Hashtbl.create 16 in
-        let add a b =
-          let prev = Option.value (Hashtbl.find_opt nbrs a) ~default:[] in
-          Hashtbl.replace nbrs a (b :: prev)
-        in
-        List.iter
-          (fun (a, b) ->
-            add a b;
-            add b a)
-          (List.sort_uniq compare rw_edges);
-        Hashtbl.fold
-          (fun _mid ns acc ->
-            let ns = List.sort_uniq compare ns in
-            let rec pairs acc = function
-              | a :: tl ->
-                  pairs (List.fold_left (fun acc b -> (a, b) :: acc) acc tl) tl
-              | [] -> acc
-            in
-            pairs acc ns)
-          nbrs []
-      in
+         share a wave even without a direct edge. The levelizer enforces
+         that from the rw edges themselves; it is a scheduling constraint
+         only and stays out of the critical-path log, which records data
+         dependencies. *)
       let waves =
-        Brdb_obs.Critical_path.schedule
-          {
-            Brdb_obs.Critical_path.n;
-            weights = Array.make n 0.;
-            edges = List.sort_uniq compare (closure_edges @ dep_edges);
-          }
+        Brdb_obs.Critical_path.schedule ~rw:rw_edges
+          { Brdb_obs.Critical_path.n; weights = Array.make n 0.; edges = dep_edges }
       in
       (graph, dep_edges, waves)
 
@@ -1273,7 +1249,17 @@ let recover t =
   | None -> (
       let h = Ledger_table.last_recorded_block t.catalog in
       let entries = if h = 0 then [] else Ledger_table.block_txs t.catalog ~height:h in
-      if List.for_all (fun (_, s) -> s <> None) entries then Ok None
+      let tip = height t in
+      if List.for_all (fun (_, s) -> s <> None) entries then
+        match Block_store.get t.store tip with
+        | Some block when tip > h && write_set_hash t ~height:tip = None ->
+            (* A tip with no ledger rows rejected every position, so a
+               crash there left no transaction, WAL record or ledger row
+               behind; it only missed its digest. Processing it again
+               through the one block path is exact, rejection reasons
+               and critical-path record included. *)
+            Ok (Some (process_appended t block))
+        | _ -> Ok None
       else
         match Block_store.get t.store h with
         | None -> Error (Printf.sprintf "block %d missing from the block store" h)

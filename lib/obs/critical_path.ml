@@ -56,23 +56,38 @@ let analyze { n; weights; edges } =
   let headroom = if critical_s <= 0. then 1. else serial_s /. critical_s in
   { serial_s; critical_s; headroom; waves; path }
 
-let schedule { n; weights; edges } =
+let schedule ?(rw = []) { n; weights; edges } =
   if Array.length weights <> n then
     invalid_arg "Critical_path.schedule: weights length <> n";
-  List.iter
-    (fun (a, b) ->
-      if a < 0 || a >= n || b < 0 || b >= n || a >= b then
-        invalid_arg "Critical_path.schedule: edge not (low, high) in range")
-    edges;
+  let check (a, b) =
+    if a < 0 || a >= n || b < 0 || b >= n || a >= b then
+      invalid_arg "Critical_path.schedule: edge not (low, high) in range"
+  in
+  List.iter check edges;
+  List.iter check rw;
   (* Positions are a topological order (edges point low -> high), so one
      forward pass levelizes: a position's wave is 1 + the max wave over
-     its in-block predecessors, 0 with none. *)
+     its in-block predecessors and over every earlier position sharing an
+     rw neighbour with it, 0 with none. [reach.(m)] carries 1 + the max
+     wave over [m]'s rw neighbours placed so far, so the two-hop rule costs
+     O(|rw|) even when a hot row has many neighbours. *)
   let inc = Array.make (max n 1) [] in
   List.iter (fun (a, b) -> inc.(b) <- a :: inc.(b)) edges;
+  let nbrs = Array.make (max n 1) [] in
+  List.iter
+    (fun (a, b) ->
+      nbrs.(a) <- b :: nbrs.(a);
+      nbrs.(b) <- a :: nbrs.(b))
+    rw;
+  let reach = Array.make (max n 1) 0 in
   let wave = Array.make (max n 0) 0 in
   for i = 0 to n - 1 do
     List.iter
       (fun a -> if wave.(a) + 1 > wave.(i) then wave.(i) <- wave.(a) + 1)
-      inc.(i)
+      inc.(i);
+    List.iter (fun m -> if reach.(m) > wave.(i) then wave.(i) <- reach.(m)) nbrs.(i);
+    List.iter
+      (fun m -> if wave.(i) + 1 > reach.(m) then reach.(m) <- wave.(i) + 1)
+      nbrs.(i)
   done;
   wave

@@ -41,11 +41,16 @@ type result = {
     is out of range / not (low, high). *)
 val analyze : input -> result
 
-(** [schedule input] levelizes the DAG into topological waves: position
-    [i]'s wave index is [0] if it has no in-block predecessors, otherwise
-    one more than the max wave over its predecessors. Every edge [(a, b)]
-    satisfies [wave.(a) < wave.(b)], so executing waves in ascending index
-    order with a barrier between them respects every dependency; this is
-    the schedule the ISSUE 8 parallel validator runs. Same validation and
-    exception behavior as {!analyze}. *)
-val schedule : input -> int array
+(** [schedule ?rw input] levelizes the DAG into topological waves:
+    position [i]'s wave index is one more than the max wave over its
+    predecessors in [input.edges] and over every earlier position [a < i]
+    that shares a neighbour with [i] in the undirected [rw] edges (two rw
+    hops apart), [0] with neither. Every edge [(a, b)] satisfies
+    [wave.(a) < wave.(b)], and no two positions two [rw] hops apart share
+    a wave, so executing waves in ascending index order with a barrier
+    between them respects every dependency; this is the schedule the
+    parallel validator runs (DESIGN.md §14). [rw] edges are not dependencies by
+    themselves: list them in [edges] too when they are. Linear in
+    [n + |edges| + |rw|]. Same validation and exception behavior as
+    {!analyze}, applied to [edges] and [rw] alike. *)
+val schedule : ?rw:(int * int) list -> input -> int array

@@ -6,18 +6,15 @@
     - [W] created a version whose values fall under one of [R]'s scan
       predicates (the phantom case — [R] could not have seen it).
 
-    Only pairwise conflicts among the given transactions are considered;
+    Only conflicts among the given transactions are considered;
     conflicts against already-checkpointed history are handled separately
-    by {!Brdb_txn.Manager.check_stale_phantom}. *)
+    by {!Brdb_txn.Manager.check_stale_phantom}.
+
+    The writes are indexed once — claimed versions by (table, vid),
+    created rows by table — and each reader probes the indexes with its
+    reads and predicates, so the cost is linear in the recorded sets
+    (plus, per predicate, the rows created in its table) rather than
+    quadratic in the number of transactions. *)
 
 val compute :
   Brdb_storage.Catalog.t -> Brdb_txn.Txn.t list -> Graph.t
-
-(** [add_txn g catalog txns txn] incrementally adds the edges between
-    [txn] and each element of [txns] (both directions). *)
-val add_txn :
-  Graph.t ->
-  Brdb_storage.Catalog.t ->
-  Brdb_txn.Txn.t list ->
-  Brdb_txn.Txn.t ->
-  unit

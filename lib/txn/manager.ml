@@ -1,21 +1,47 @@
 open Brdb_storage
 
+module IMap = Map.Make (Int)
+
 type t = {
   catalog : Catalog.t;
   mutable next_txid : int;
   txns : (int, Txn.t) Hashtbl.t;
   by_global : (string, int) Hashtbl.t;
+  mutable pending : Txn.t IMap.t;
+      (* the pending members of [txns], by txid; kept in step by [sync] *)
+  mutable pending_count : int;
 }
 
-let create catalog = { catalog; next_txid = 1; txns = Hashtbl.create 64; by_global = Hashtbl.create 64 }
+let create catalog =
+  {
+    catalog;
+    next_txid = 1;
+    txns = Hashtbl.create 64;
+    by_global = Hashtbl.create 64;
+    pending = IMap.empty;
+    pending_count = 0;
+  }
 
 let catalog t = t.catalog
 
-let pending t =
-  Hashtbl.fold (fun _ txn acc -> if Txn.is_pending txn then txn :: acc else acc) t.txns []
-  |> List.sort (fun a b -> compare a.Txn.txid b.Txn.txid)
+(* Re-derive [txid]'s membership in [pending] from [txns] and the status.
+   Every function that changes either calls this, so [pending] never
+   needs a scan of all transactions. *)
+let sync t txid =
+  let was = IMap.mem txid t.pending in
+  match Hashtbl.find_opt t.txns txid with
+  | Some txn when Txn.is_pending txn ->
+      t.pending <- IMap.add txid txn t.pending;
+      if not was then t.pending_count <- t.pending_count + 1
+  | _ ->
+      if was then begin
+        t.pending <- IMap.remove txid t.pending;
+        t.pending_count <- t.pending_count - 1
+      end
 
-let pending_count t = List.length (pending t)
+let pending t = IMap.fold (fun _ txn acc -> txn :: acc) t.pending [] |> List.rev
+
+let pending_count t = t.pending_count
 
 let begin_txn t ~global_id ~client ?description ~snapshot_height () =
   if Hashtbl.mem t.by_global global_id then Error `Duplicate_txid
@@ -25,6 +51,7 @@ let begin_txn t ~global_id ~client ?description ~snapshot_height () =
     let txn = Txn.create ~txid ~global_id ~client ?description ~snapshot_height () in
     Hashtbl.replace t.txns txid txn;
     Hashtbl.replace t.by_global global_id txid;
+    sync t txid;
     Ok txn
   end
 
@@ -41,6 +68,8 @@ let export_globals t =
 let restore_globals t ~next_txid globals =
   Hashtbl.reset t.txns;
   Hashtbl.reset t.by_global;
+  t.pending <- IMap.empty;
+  t.pending_count <- 0;
   t.next_txid <- next_txid;
   List.iter (fun (gid, txid) -> Hashtbl.replace t.by_global gid txid) globals
 
@@ -181,6 +210,7 @@ let commit t txn ~height =
             ~xmax:txn.Txn.txid ~height)
     (Txn.writes_in_order txn);
   txn.Txn.status <- Txn.Committed height;
+  sync t txn.Txn.txid;
   List.iter (fun f -> f ()) (List.rev txn.Txn.on_commit)
 
 let abort t txn reason =
@@ -206,6 +236,7 @@ let abort t txn reason =
       | Txn.D_created_index _ -> (* extra indexes are semantically harmless *) ())
     txn.Txn.ddl;
   txn.Txn.status <- Txn.Aborted reason;
+  sync t txn.Txn.txid;
   List.iter (fun f -> f ()) txn.Txn.on_abort
 
 let write_set_entries t txns =
@@ -258,6 +289,7 @@ let rollback_committed t txn =
     (Txn.writes_in_order txn);
   List.iter (fun f -> f ()) txn.Txn.on_abort;
   txn.Txn.status <- Txn.Pending;
+  sync t txn.Txn.txid;
   txn.Txn.reads <- [];
   Hashtbl.reset txn.Txn.reads_seen;
   txn.Txn.predicates <- [];
@@ -268,7 +300,8 @@ let rollback_committed t txn =
 
 let release t txn =
   Hashtbl.remove t.txns txn.Txn.txid;
-  Hashtbl.remove t.by_global txn.Txn.global_id
+  Hashtbl.remove t.by_global txn.Txn.global_id;
+  sync t txn.Txn.txid
 
 let forget_finished t ~below_height =
   let doomed =

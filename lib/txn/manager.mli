@@ -14,7 +14,7 @@ val create : Brdb_storage.Catalog.t -> t
 
 val catalog : t -> Brdb_storage.Catalog.t
 
-(** Current number of live (pending) transactions. *)
+(** Current number of live (pending) transactions; O(1). *)
 val pending_count : t -> int
 
 (** [begin_txn] allocates a txid; rejects duplicate global identifiers
@@ -32,6 +32,9 @@ val find : t -> int -> Txn.t option
 
 val find_by_global : t -> string -> Txn.t option
 
+(** The live (pending) transactions in txid order. Maintained
+    incrementally by the lifecycle calls below, so this costs O(pending),
+    not a scan of every transaction the manager holds. *)
 val pending : t -> Txn.t list
 
 (** {2 Commit-entry checks} — each returns the abort reason, if any. *)

@@ -737,21 +737,29 @@ let query_rows n sql =
    height, and both nodes must keep working. Keys 7 and 8 are each bumped
    twice in the crash block, so under wave validation it runs as two waves
    (positions 0,1,4,5 then 2,3) and [Crash_mid_commit 5] stops between
-   the two members of the second. *)
-let crash_recovery_scenario ~flow ~parallel ~atomic_commit crash () =
+   the two members of the second. With [~all_rejected] the crash block
+   instead holds only replays and a forged signature: it writes no ledger
+   row, so recovery must find it from the block-store tip. *)
+let crash_recovery_scenario ?(all_rejected = false) ~flow ~parallel ~atomic_commit crash
+    () =
   let h = setup ~flow ~atomic_commit ~parallel:(fun _ -> parallel) () in
   init_chain h;
   let put k v = tx h ~user:"org1/alice" ~contract:"put" [ Value.Int k; Value.Int v ] in
   let bump k = tx h ~user:"org2/bob" ~contract:"bump" [ Value.Int k ] in
-  ignore (deliver h [ put 7 70; put 8 80 ]);
-  let txs = [ bump 7; bump 8; bump 7; bump 8; put 1 10; bump 404 ] in
+  let put7 = put 7 70 and put8 = put 8 80 in
+  ignore (deliver h [ put7; put8 ]);
+  let txs =
+    if all_rejected then
+      [ put7; put8; { (put 9 90) with Block.tx_args = [ Value.Int 9; Value.Int 91 ] } ]
+    else [ bump 7; bump 8; bump 7; bump 8; put 1 10; bump 404 ]
+  in
   let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
   let prev_hash = match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
   let block = Block.sign (Block.create ~height ~txs ~metadata:"test" ~prev_hash) h.orderer in
   h.prev <- Some block;
   let victim = node h 0 and ref_node = node h 1 in
   (* EO: pre-execute in reverse, so txid order is not block order *)
-  if flow = Node_core.Execute_order then
+  if flow = Node_core.Execute_order && not all_rejected then
     List.iter
       (fun n ->
         List.iter
@@ -798,7 +806,8 @@ let crash_recovery_scenario ~flow ~parallel ~atomic_commit crash () =
   check_identical h (deliver h [ put 99 9 ])
 
 (* One case per crash point × flow × wave validation × atomic commit. The
-   OE serial-commit cases keep their historical names. *)
+   OE serial-commit cases keep their historical names. The all-rejected
+   block cases follow the whole matrix so existing case indices hold. *)
 let recovery_cases =
   let points =
     [
@@ -810,34 +819,43 @@ let recovery_cases =
       (Node_core.Crash_mid_commit 5, "crash mid-wave", "mid-wave");
     ]
   in
+  let configs =
+    List.concat_map
+      (fun (flow, flow_name) ->
+        List.concat_map
+          (fun parallel ->
+            let tags =
+              String.concat ", "
+                (List.filter (( <> ) "") [ flow_name; (if parallel then "waves" else "") ])
+            in
+            let suffix = if tags = "" then "" else " [" ^ tags ^ "]" in
+            List.map (fun atomic_commit -> (flow, parallel, atomic_commit, suffix)) [ false; true ])
+          [ false; true ])
+      [
+        (Node_core.Order_execute, "");
+        (Node_core.Execute_order, "EO");
+        (Node_core.Serial_baseline, "serial");
+      ]
+  in
   List.concat_map
-    (fun (flow, flow_name) ->
-      List.concat_map
-        (fun parallel ->
-          List.concat_map
-            (fun atomic_commit ->
-              List.map
-                (fun (crash, name, atomic_name) ->
-                  let tags =
-                    String.concat ", "
-                      (List.filter (( <> ) "")
-                         [ flow_name; (if parallel then "waves" else "") ])
-                  in
-                  let name =
-                    (if atomic_commit then "atomic block commit: " ^ atomic_name
-                     else name)
-                    ^ if tags = "" then "" else " [" ^ tags ^ "]"
-                  in
-                  Alcotest.test_case name `Quick
-                    (crash_recovery_scenario ~flow ~parallel ~atomic_commit crash))
-                points)
-            [ false; true ])
-        [ false; true ])
-    [
-      (Node_core.Order_execute, "");
-      (Node_core.Execute_order, "EO");
-      (Node_core.Serial_baseline, "serial");
-    ]
+    (fun (flow, parallel, atomic_commit, suffix) ->
+      List.map
+        (fun (crash, name, atomic_name) ->
+          Alcotest.test_case
+            ((if atomic_commit then "atomic block commit: " ^ atomic_name else name) ^ suffix)
+            `Quick
+            (crash_recovery_scenario ~flow ~parallel ~atomic_commit crash))
+        points)
+    configs
+  @ List.map
+      (fun (flow, parallel, atomic_commit, suffix) ->
+        Alcotest.test_case
+          ((if atomic_commit then "atomic block commit: " else "")
+          ^ "crash after ledger entries, every position rejected" ^ suffix)
+          `Quick
+          (crash_recovery_scenario ~all_rejected:true ~flow ~parallel ~atomic_commit
+             Node_core.Crash_after_ledger_entries))
+      configs
 
 let test_recover_noop_when_consistent () =
   let h = setup ~n_nodes:1 () in

@@ -689,6 +689,66 @@ let test_critical_path_levelization_all_preds () =
     (Critical_path.schedule
        { Critical_path.n = 3; weights = [| 1.; 1.; 1. |]; edges = [] })
 
+(* The direct way to schedule two-hop rw constraints: materialise every
+   pair of positions that share an rw neighbour and feed them to the
+   levelizer as edges. The [~rw] levelizer must give the same waves. *)
+let closure_edges rw =
+  let nbrs = Hashtbl.create 16 in
+  let add a b =
+    Hashtbl.replace nbrs a (b :: Option.value (Hashtbl.find_opt nbrs a) ~default:[])
+  in
+  List.iter
+    (fun (a, b) ->
+      add a b;
+      add b a)
+    rw;
+  Hashtbl.fold
+    (fun _mid ns acc ->
+      let rec pairs acc = function
+        | a :: tl -> pairs (List.fold_left (fun acc b -> (a, b) :: acc) acc tl) tl
+        | [] -> acc
+      in
+      pairs acc (List.sort_uniq compare ns))
+    nbrs []
+
+let schedules ~n ~rw ~dep =
+  let input edges = { Critical_path.n; weights = Array.make n 0.; edges } in
+  ( Critical_path.schedule ~rw (input dep),
+    Critical_path.schedule (input (List.sort_uniq compare (closure_edges rw @ dep))) )
+
+let test_levelizer_hot_row () =
+  (* positions 1..4 all read a row position 0 wrote: a hot-row fan-in,
+     so each pair of readers is two rw hops apart; position 5 is alone *)
+  let rw = [ (0, 1); (0, 2); (0, 3); (0, 4) ] in
+  let check name want dep =
+    let got, old = schedules ~n:6 ~rw ~dep in
+    Alcotest.(check (array int)) (name ^ " = closure levelizer") old got;
+    Alcotest.(check (array int)) name want got
+  in
+  check "rw hops only" [| 0; 0; 1; 2; 3; 0 |] [];
+  check "rw edges as deps" [| 0; 1; 2; 3; 4; 0 |] rw;
+  Alcotest.(check (array int)) "no edges" [| 0; 0; 0 |]
+    (fst (schedules ~n:3 ~rw:[] ~dep:[]))
+
+let prop_levelizer_equals_closure =
+  let gen =
+    let open QCheck.Gen in
+    int_range 0 16 >>= fun n ->
+    let edges =
+      if n < 2 then return []
+      else
+        list_size (int_range 0 24) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+        >|= List.filter_map (fun (a, b) -> if a = b then None else Some (min a b, max a b))
+    in
+    map2 (fun rw dep -> (n, rw, dep)) edges edges
+  in
+  let print = QCheck.Print.(triple int (list (pair int int)) (list (pair int int))) in
+  QCheck.Test.make ~count:500 ~name:"rw-hop levelizer == closure-edge levelizer"
+    (QCheck.make ~print gen)
+    (fun (n, rw, dep) ->
+      let got, old = schedules ~n ~rw ~dep in
+      got = old)
+
 let suites =
   [
     ( "obs.trace",
@@ -719,6 +779,8 @@ let suites =
         Alcotest.test_case "diamond DAG" `Quick test_critical_path_diamond;
         Alcotest.test_case "levelization over all predecessors" `Quick
           test_critical_path_levelization_all_preds;
+        Alcotest.test_case "two rw hops: hot-row fan-in" `Quick test_levelizer_hot_row;
+        QCheck_alcotest.to_alcotest prop_levelizer_equals_closure;
       ] );
     ( "obs.e2e",
       [

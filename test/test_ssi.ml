@@ -118,6 +118,158 @@ let test_detect_update_into_predicate () =
   Alcotest.(check bool) "edge via new version" true
     (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid)
 
+(* --- indexed detection vs the pairwise reference --------------------------- *)
+
+(* The direct pairwise detector, kept as the oracle: every ordered pair of
+   transactions with distinct txids, each test rebuilding the writer's
+   claimed/created lists and resolving every created row again. *)
+let pairwise_reference catalog txns =
+  let g = Graph.create () in
+  let values table vid =
+    match Catalog.find catalog table with
+    | None -> None
+    | Some tbl -> (
+        match Table.get_version tbl vid with
+        | v -> Some v.Version.values
+        | exception Invalid_argument _ -> None)
+  in
+  let edges_between (reader : Txn.t) (writer : Txn.t) =
+    if
+      reader.Txn.txid <> writer.Txn.txid
+      && (List.exists (fun rw -> List.mem rw reader.Txn.reads) (Txn.claimed writer)
+         || List.exists
+              (fun (table, vid) ->
+                match values table vid with
+                | None -> false
+                | Some row ->
+                    List.exists (fun p -> Predicate.matches p ~table row) reader.Txn.predicates)
+              (Txn.created writer))
+    then Graph.add_edge g ~reader:reader.Txn.txid ~writer:writer.Txn.txid
+  in
+  List.iter (fun r -> List.iter (edges_between r) txns) txns;
+  g
+
+(* Tables a and b hold vids 0..7; a's vids 3 and 6 are pruned, vids 8 and
+   9 exist nowhere and table "ghost" does not exist, so created rows can
+   fail to resolve in every way [version_values] allows. *)
+let oracle_catalog =
+  lazy
+    (let fx = make_fx () in
+     let t = txn fx ~height:0 in
+     List.iter
+       (fun (table, mult) ->
+         ignore (exec fx t (Printf.sprintf "CREATE TABLE %s (id INT PRIMARY KEY, v INT)" table));
+         for i = 0 to 7 do
+           ignore
+             (exec fx t (Printf.sprintf "INSERT INTO %s VALUES (%d, %d)" table i (i * mult mod 10)))
+         done)
+       [ ("a", 7); ("b", 3) ];
+     Manager.commit fx.mgr t ~height:1;
+     (match Catalog.find fx.catalog "a" with
+     | Some a -> ignore (Table.prune a ~keep:(fun v -> v.Version.vid <> 3 && v.Version.vid <> 6))
+     | None -> assert false);
+     fx.catalog)
+
+type op =
+  | Read of string * int
+  | Pred of Predicate.t
+  | Write of Txn.write
+
+let gen_txns =
+  let open QCheck.Gen in
+  let table = oneofl [ "a"; "b"; "ghost" ] and vid = int_range 0 9 in
+  let bound =
+    frequency
+      [
+        (1, return Index.Unbounded);
+        (2, map (fun k -> Index.Incl (Value.Int k)) (int_range 0 9));
+        (2, map (fun k -> Index.Excl (Value.Int k)) (int_range 0 9));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map2 (fun t v -> Read (t, v)) table vid);
+        (1, map (fun t -> Pred (Predicate.Full_scan { table = t })) table);
+        ( 2,
+          table >>= fun t ->
+          (* column 2 is past the rows' arity: matches must say no *)
+          int_range 0 2 >>= fun column ->
+          map2 (fun lo hi -> Pred (Predicate.Range { table = t; column; lo; hi })) bound bound );
+        (2, map2 (fun t v -> Write (Txn.W_insert { table = t; vid = v })) table vid);
+        ( 2,
+          map3
+            (fun t o n -> Write (Txn.W_update { table = t; old_vid = o; new_vid = n }))
+            table vid vid );
+        (1, map2 (fun t v -> Write (Txn.W_delete { table = t; old_vid = v })) table vid);
+      ]
+  in
+  (* txids in 1..12 for up to 10 transactions: repeats happen and must
+     add no edge between the two. *)
+  list_size (int_range 0 10) (pair (int_range 1 12) (list_size (int_range 0 8) op))
+
+let print_txns =
+  let op_to_string = function
+    | Read (t, v) -> Printf.sprintf "R %s.%d" t v
+    | Pred p -> "P " ^ Predicate.to_string p
+    | Write (Txn.W_insert { table; vid }) -> Printf.sprintf "I %s.%d" table vid
+    | Write (Txn.W_update { table; old_vid; new_vid }) ->
+        Printf.sprintf "U %s.%d->%d" table old_vid new_vid
+    | Write (Txn.W_delete { table; old_vid }) -> Printf.sprintf "D %s.%d" table old_vid
+  in
+  QCheck.Print.(list (pair int (list op_to_string)))
+
+let build_txns spec =
+  List.mapi
+    (fun i (txid, ops) ->
+      let t =
+        Txn.create ~txid ~global_id:(Printf.sprintf "g%d" i) ~client:"c" ~snapshot_height:1 ()
+      in
+      List.iter
+        (function
+          | Read (table, vid) -> Txn.record_read t ~table ~vid
+          | Pred p -> Txn.record_predicate t p
+          | Write w -> Txn.record_write t w)
+        ops;
+      t)
+    spec
+
+let prop_indexed_equals_pairwise =
+  QCheck.Test.make ~count:500 ~name:"indexed detection == pairwise reference"
+    (QCheck.make ~print:print_txns gen_txns)
+    (fun spec ->
+      let catalog = Lazy.force oracle_catalog in
+      let txns = build_txns spec in
+      let got = Graph.edges (Detect.compute catalog txns)
+      and want = Graph.edges (pairwise_reference catalog txns) in
+      if got <> want then
+        QCheck.Test.fail_reportf "edges %s, pairwise %s"
+          QCheck.Print.(list (pair int int) got)
+          QCheck.Print.(list (pair int int) want);
+      true)
+
+(* Insert-only blocks (the OE INSERT workload) create rows nobody reads
+   or scans, so detection should cost a few words per transaction however
+   many share the block; the pairwise loop spent ~2.7 k at n = 100. *)
+let test_detect_word_budget () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun n ->
+        let fx = make_fx () in
+        seed fx;
+        let txns =
+          List.init n (fun i ->
+              let t = txn fx ~height:1 in
+              ignore (exec fx t (Printf.sprintf "INSERT INTO accounts VALUES (%d, 0)" (100 + i)));
+              t)
+        in
+        let words = Test_crypto.minor_words_of (fun () -> Detect.compute fx.catalog txns) in
+        let per_txn = words /. float_of_int n in
+        if per_txn > 64. then
+          Alcotest.failf "compute over %d inserts: %.1f words per transaction (budget 64)" n
+            per_txn)
+      [ 100; 400 ]
+
 (* --- rules ----------------------------------------------------------------- *)
 
 let view_of assoc id =
@@ -305,6 +457,8 @@ let suites =
         Alcotest.test_case "phantom insert" `Quick test_detect_phantom_insert;
         Alcotest.test_case "insert outside predicate" `Quick test_detect_insert_outside_predicate;
         Alcotest.test_case "update into predicate" `Quick test_detect_update_into_predicate;
+        Alcotest.test_case "word budget (100 and 400 inserts)" `Quick test_detect_word_budget;
+        QCheck_alcotest.to_alcotest prop_indexed_equals_pairwise;
       ] );
     ( "ssi.rules.plain",
       [

@@ -221,6 +221,94 @@ let test_abort_side_effect_hooks () =
   Manager.commit fx.mgr b ~height:1;
   Alcotest.(check (list string)) "only commit ran" [ "commit"; "abort" ] !log
 
+(* [pending]/[pending_count] are maintained incrementally; they must
+   match a fold over every transaction ever begun (those the manager still
+   holds, by physical identity, whose status is pending) after each
+   lifecycle call. Rewinding [next_txid] on restore reuses txids, so a
+   stale handle shares its txid with a live one. *)
+type lifecycle =
+  | Begin
+  | Commit of int
+  | Abort of int
+  | Rollback of int
+  | Release of int
+  | Forget of int
+  | Restore of bool
+
+let prop_pending_matches_fold =
+  let gen =
+    let open QCheck.Gen in
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (4, return Begin);
+           (2, map (fun i -> Commit i) nat);
+           (2, map (fun i -> Abort i) nat);
+           (1, map (fun i -> Rollback i) nat);
+           (1, map (fun i -> Release i) nat);
+           (1, map (fun h -> Forget h) (int_range 0 4));
+           (1, map (fun rewind -> Restore rewind) bool);
+         ])
+  in
+  let print =
+    QCheck.Print.list (function
+      | Begin -> "begin"
+      | Commit i -> Printf.sprintf "commit %d" i
+      | Abort i -> Printf.sprintf "abort %d" i
+      | Rollback i -> Printf.sprintf "rollback %d" i
+      | Release i -> Printf.sprintf "release %d" i
+      | Forget h -> Printf.sprintf "forget <%d" h
+      | Restore rewind -> Printf.sprintf "restore%s" (if rewind then " rewind" else ""))
+  in
+  QCheck.Test.make ~count:300 ~name:"pending = fold over all transactions"
+    (QCheck.make ~print gen)
+    (fun ops ->
+      let fx = make_fx () in
+      let all = ref [] in
+      let height = ref 0 in
+      let pick i = List.nth !all (i mod List.length !all) in
+      List.iter
+        (fun op ->
+          (match op with
+          | Begin -> all := !all @ [ txn fx ]
+          | _ when !all = [] -> ()
+          | Commit i ->
+              incr height;
+              let t = pick i in
+              Manager.commit fx.mgr t ~height:!height;
+              t.Txn.block <- Some !height
+          | Abort i -> Manager.abort fx.mgr (pick i) (Txn.Contract_error "x")
+          | Rollback i -> (
+              match pick i with
+              | { Txn.status = Txn.Committed _; _ } as t -> Manager.rollback_committed fx.mgr t
+              | _ -> ())
+          | Release i -> Manager.release fx.mgr (pick i)
+          | Forget h -> Manager.forget_finished fx.mgr ~below_height:(!height - h)
+          | Restore rewind ->
+              Manager.restore_globals fx.mgr
+                ~next_txid:(if rewind then 1 else Manager.next_txid fx.mgr)
+                (Manager.export_globals fx.mgr));
+          let want =
+            List.filter
+              (fun t ->
+                Txn.is_pending t
+                && match Manager.find fx.mgr t.Txn.txid with Some u -> u == t | None -> false)
+              !all
+            |> List.sort (fun a b -> compare a.Txn.txid b.Txn.txid)
+          in
+          let got = Manager.pending fx.mgr in
+          if
+            List.length got <> List.length want
+            || (not (List.for_all2 ( == ) got want))
+            || Manager.pending_count fx.mgr <> List.length want
+          then
+            QCheck.Test.fail_reportf "pending %s (count %d), fold %s"
+              QCheck.Print.(list int (List.map (fun t -> t.Txn.txid) got))
+              (Manager.pending_count fx.mgr)
+              QCheck.Print.(list int (List.map (fun t -> t.Txn.txid) want)))
+        ops;
+      true)
+
 let suites =
   [
     ( "txn.manager",
@@ -235,5 +323,6 @@ let suites =
         Alcotest.test_case "rollback committed" `Quick test_rollback_committed;
         Alcotest.test_case "forget finished" `Quick test_forget_finished;
         Alcotest.test_case "commit/abort hooks" `Quick test_abort_side_effect_hooks;
+        QCheck_alcotest.to_alcotest prop_pending_matches_fold;
       ] );
   ]
