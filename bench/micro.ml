@@ -1,7 +1,8 @@
 (** Bechamel micro-benchmarks of the real engine primitives (host clock,
     as opposed to the simulated-time experiments): SHA-256, signatures,
-    field exponentiation, Merkle roots, inserts, indexed selects, joins and
-    SSI conflict detection.
+    field exponentiation, Merkle roots, inserts, indexed selects, joins,
+    the complex-group contract's query, a hot-key UPDATE and SSI conflict
+    detection.
     Each row reports both costs: nanoseconds and minor-heap words per run. *)
 
 open Bechamel
@@ -11,29 +12,35 @@ module Catalog = Brdb_storage.Catalog
 module Manager = Brdb_txn.Manager
 module Exec = Brdb_engine.Exec
 
-let fixture rows =
-  let catalog = Catalog.create () in
-  let mgr = Manager.create catalog in
+(* Runs [sqls] in one transaction committed as block [height]. *)
+let commit_block (catalog, mgr) ~height sqls =
   let txn =
-    match Manager.begin_txn mgr ~global_id:"boot" ~client:"sys" ~snapshot_height:(-1) () with
+    match
+      Manager.begin_txn mgr
+        ~global_id:(Printf.sprintf "block-%d" height)
+        ~client:"sys" ~snapshot_height:(height - 1) ()
+    with
     | Ok t -> t
     | Error _ -> assert false
   in
-  let exec sql =
-    match Exec.execute_sql catalog txn sql with
-    | Ok _ -> ()
-    | Error e -> failwith (Exec.error_to_string e)
-  in
-  exec "CREATE TABLE items (id INT PRIMARY KEY, grp INT, qty INT)";
-  exec "CREATE TABLE grps (grp INT PRIMARY KEY, name TEXT)";
-  for g = 0 to 9 do
-    exec (Printf.sprintf "INSERT INTO grps VALUES (%d, 'g%d')" g g)
-  done;
-  for i = 0 to rows - 1 do
-    exec (Printf.sprintf "INSERT INTO items VALUES (%d, %d, %d)" i (i mod 10) (i mod 17))
-  done;
-  Manager.commit mgr txn ~height:1;
-  (catalog, mgr)
+  List.iter
+    (fun sql ->
+      match Exec.execute_sql catalog txn sql with
+      | Ok _ -> ()
+      | Error e -> failwith (Exec.error_to_string e))
+    sqls;
+  Manager.commit mgr txn ~height
+
+let fixture rows =
+  let catalog = Catalog.create () in
+  let fx = (catalog, Manager.create catalog) in
+  commit_block fx ~height:1
+    ("CREATE TABLE items (id INT PRIMARY KEY, grp INT, qty INT)"
+     :: "CREATE TABLE grps (grp INT PRIMARY KEY, name TEXT)"
+     :: List.init 10 (fun g -> Printf.sprintf "INSERT INTO grps VALUES (%d, 'g%d')" g g)
+    @ List.init rows (fun i ->
+          Printf.sprintf "INSERT INTO items VALUES (%d, %d, %d)" i (i mod 10) (i mod 17)));
+  fx
 
 module Crypto = Brdb_crypto
 
@@ -64,7 +71,7 @@ let bench_merkle =
   Test.make ~name:"merkle root (100 leaves)"
     (Staged.stage (fun () -> Crypto.Merkle.root leaves))
 
-let with_txn (catalog, mgr) f =
+let with_txn ?(height = 1) ?(after_abort = ignore) (catalog, mgr) f =
   let id = ref 0 in
   Staged.stage (fun () ->
       incr id;
@@ -72,13 +79,14 @@ let with_txn (catalog, mgr) f =
         match
           Manager.begin_txn mgr
             ~global_id:(Printf.sprintf "b%d" !id)
-            ~client:"bench" ~snapshot_height:1 ()
+            ~client:"bench" ~snapshot_height:height ()
         with
         | Ok t -> t
         | Error _ -> assert false
       in
       f catalog txn !id;
       Manager.abort mgr txn (Brdb_txn.Txn.Contract_error "bench");
+      after_abort txn;
       Manager.release mgr txn)
 
 let bench_insert =
@@ -147,6 +155,62 @@ let bench_topk = bench_query ~name:"ORDER BY LIMIT 5 (top-k heap)" ~hash_ops:tru
 let bench_sort_limit =
   bench_query ~name:"ORDER BY LIMIT 5 (full sort)" ~hash_ops:false topk_sql
 
+(* The complex-group contract's query (Fig. 7) on the benchmark's table
+   shapes: 100 parts, 400 orders over 50 customers, so each run joins 8
+   orders to their parts, groups and keeps the best group. *)
+let bench_group_query =
+  let catalog = Catalog.create () in
+  let fx = (catalog, Manager.create catalog) in
+  commit_block fx ~height:1
+    ([
+       "CREATE TABLE parts (part_id INT PRIMARY KEY, price INT, grp INT)";
+       "CREATE TABLE orders (order_id INT PRIMARY KEY, customer_id INT, part_id INT, qty INT)";
+       "CREATE INDEX orders_customer ON orders (customer_id)";
+     ]
+    @ List.init 100 (fun p ->
+          Printf.sprintf "INSERT INTO parts VALUES (%d, %d, %d)" p ((p mod 20) + 1) (p mod 5))
+    @ List.init 400 (fun o ->
+          Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d, %d)" o (o mod 50) (o mod 100)
+            ((o mod 7) + 1)));
+  let stmt =
+    Result.get_ok
+      (Brdb_sql.Parser.parse
+         "SELECT SUM(o.qty * p.price) AS t FROM orders o JOIN parts p ON o.part_id = \
+          p.part_id WHERE o.customer_id = $1 GROUP BY p.grp ORDER BY t DESC LIMIT 1")
+  in
+  Test.make ~name:"contract: complex-group query"
+    (with_txn fx (fun catalog txn i ->
+         match Exec.execute catalog txn ~params:[| Value.Int (i mod 50) |] stmt with
+         | Ok _ -> ()
+         | Error e -> failwith (Exec.error_to_string e)))
+
+(* An UPDATE whose key has 300 committed versions (one per block). Each
+   run's aborted version is dropped from the indexes again, so the chain
+   the probe walks stays at 300. *)
+let bench_hot_update =
+  let ((catalog, _) as fx) = fixture 1000 in
+  for height = 2 to 300 do
+    commit_block fx ~height [ "UPDATE items SET qty = qty + 1 WHERE id = 7" ]
+  done;
+  let items = Option.get (Catalog.find catalog "items") in
+  let drop_new_version txn =
+    List.iter
+      (function
+        | Brdb_txn.Txn.W_update { new_vid; _ } ->
+            Brdb_storage.Table.remove_from_indexes items
+              (Brdb_storage.Table.get_version items new_vid)
+        | _ -> ())
+      txn.Brdb_txn.Txn.writes
+  in
+  let stmt =
+    Result.get_ok (Brdb_sql.Parser.parse "UPDATE items SET qty = qty + 1 WHERE id = 7")
+  in
+  Test.make ~name:"UPDATE hot key (300 versions)"
+    (with_txn ~height:300 ~after_abort:drop_new_version fx (fun catalog txn _ ->
+         match Exec.execute catalog txn stmt with
+         | Ok _ -> ()
+         | Error e -> failwith (Exec.error_to_string e)))
+
 (* One block's SSI graph (§3.3.3): [n] pending transactions, each reading
    a group by primary key and inserting an item — a lookup-then-insert
    contract. Detection cost should grow linearly with [n]. *)
@@ -208,6 +272,8 @@ let benchmark () =
         bench_insert;
         bench_pk_select;
         bench_join_aggregate;
+        bench_group_query;
+        bench_hot_update;
         bench_hash_join;
         bench_nl_join;
         bench_hash_agg;

@@ -34,61 +34,93 @@ type env = {
 let binding_of_version ~alias ~schema ~provenance (v : Version.t) =
   { alias; schema; values = v.Version.values; version = Some v; provenance }
 
-let pseudo_column (b : binding) name =
-  match (b.version, name) with
-  | None, ("xmin" | "xmax" | "creator" | "deleter") ->
-      (* null-extended row of an outer join *)
-      Some Value.Null
-  | Some v, "xmin" -> Some (Value.Int v.Version.xmin)
-  | Some v, "xmax" ->
-      Some (if v.Version.xmax = 0 then Value.Null else Value.Int v.Version.xmax)
-  | Some v, "creator" ->
-      Some
-        (if v.Version.creator_block = Version.unset_block then Value.Null
-         else Value.Int v.Version.creator_block)
-  | Some v, "deleter" ->
-      Some
-        (if v.Version.deleter_block = Version.unset_block then Value.Null
-         else Value.Int v.Version.deleter_block)
-  | _ -> None
+let is_pseudo_column = function
+  | "xmin" | "xmax" | "creator" | "deleter" -> true
+  | _ -> false
 
-let binding_column (b : binding) name =
-  match Schema.column_index b.schema name with
-  | Some i -> Some b.values.(i)
-  | None -> if b.provenance then pseudo_column b name else None
+(* Value of a provenance pseudo-column; [name] satisfies [is_pseudo_column]. *)
+let pseudo_value (b : binding) name =
+  match (b.version, name) with
+  | None, _ ->
+      (* null-extended row of an outer join *)
+      Value.Null
+  | Some v, "xmin" -> Value.Int v.Version.xmin
+  | Some v, "xmax" -> if v.Version.xmax = 0 then Value.Null else Value.Int v.Version.xmax
+  | Some v, "creator" ->
+      if v.Version.creator_block = Version.unset_block then Value.Null
+      else Value.Int v.Version.creator_block
+  | Some v, _ ->
+      if v.Version.deleter_block = Version.unset_block then Value.Null
+      else Value.Int v.Version.deleter_block
+
+(* Position of [name] in [b]'s schema, or -1. *)
+let column_pos (b : binding) name =
+  let cols = b.schema.Schema.columns in
+  let rec loop i =
+    if i >= Array.length cols then -1
+    else if String.equal cols.(i).Schema.name name then i
+    else loop (i + 1)
+  in
+  loop 0
+
+let has_column b name =
+  column_pos b name >= 0 || (b.provenance && is_pseudo_column name)
+
+(* [name] must resolve in [b] ([has_column b name]). *)
+let column_value b name =
+  let i = column_pos b name in
+  if i >= 0 then b.values.(i) else pseudo_value b name
 
 (* Name resolution is scoped for correlated subqueries: the innermost
    query's own tables are consulted first; only if the name is absent
    there does resolution fall back to the outer context (innermost outer
-   binding wins). Ambiguity is an error only within the current scope. *)
+   binding wins). Ambiguity is an error only within the current scope.
+
+   Resolution is one walk over [bindings] that allocates nothing on
+   success (the walkers are top-level so no closure is built per
+   reference). Outer context precedes the current scope in the list, so
+   for a qualified name the last binding with that alias is the innermost
+   one of the nearest scope that has it. *)
+let rec last_aliased b q name = function
+  | [] ->
+      if has_column b name then column_value b name
+      else error "unknown column %s.%s" q name
+  | b' :: rest -> last_aliased (if String.equal b'.alias q then b' else b) q name rest
+
+let rec first_aliased q name = function
+  | [] -> error "unknown table or alias %s" q
+  | b :: rest ->
+      if String.equal b.alias q then last_aliased b q name rest
+      else first_aliased q name rest
+
+(* Unqualified names. [outer] is the last outer-context hit so far; it is
+   meaningful only when [found]. *)
+let rec unqualified_outer scope_start name i found outer = function
+  | bs when i >= scope_start -> unqualified_inner name found outer bs
+  | [] -> if found then column_value outer name else error "unknown column %s" name
+  | b :: rest ->
+      if has_column b name then unqualified_outer scope_start name (i + 1) true b rest
+      else unqualified_outer scope_start name (i + 1) found outer rest
+
+(* Current scope, no hit yet. *)
+and unqualified_inner name found outer = function
+  | [] -> if found then column_value outer name else error "unknown column %s" name
+  | b :: rest ->
+      if has_column b name then unqualified_hit name b rest
+      else unqualified_inner name found outer rest
+
+(* Current scope, exactly one hit so far. *)
+and unqualified_hit name hit = function
+  | [] -> column_value hit name
+  | b :: rest ->
+      if has_column b name then error "ambiguous column %s" name
+      else unqualified_hit name hit rest
+
 let lookup_column env qualifier name =
-  let inner = List.filteri (fun i _ -> i >= env.scope_start) env.bindings in
-  let outer = List.filteri (fun i _ -> i < env.scope_start) env.bindings in
-  match qualifier with
-  | Some q -> (
-      let matches scope = List.filter (fun b -> String.equal b.alias q) scope in
-      let pick scope =
-        match List.rev (matches scope) with b :: _ -> Some b | [] -> None
-      in
-      match (pick inner, pick outer) with
-      | Some b, _ | None, Some b -> (
-          match binding_column b name with
-          | Some v -> v
-          | None -> error "unknown column %s.%s" q name)
-      | None, None -> error "unknown table or alias %s" q)
-  | None -> (
-      let hits scope =
-        List.filter_map
-          (fun b -> Option.map (fun v -> (b.alias, v)) (binding_column b name))
-          scope
-      in
-      match hits inner with
-      | [ (_, v) ] -> v
-      | _ :: _ -> error "ambiguous column %s" name
-      | [] -> (
-          match List.rev (hits outer) with
-          | (_, v) :: _ -> v
-          | [] -> error "unknown column %s" name))
+  match (qualifier, env.bindings) with
+  | Some q, bs -> first_aliased q name bs
+  | None, [] -> error "unknown column %s" name
+  | None, (b0 :: _ as bs) -> unqualified_outer env.scope_start name 0 false b0 bs
 
 let has_aggregate e =
   let found = ref false in
@@ -104,17 +136,18 @@ let as_number = function
 
 let arith op a b =
   match (a, b) with
+  | Value.Int x, Value.Int y -> (
+      match op with
+      | Add -> Value.Int (x + y)
+      | Sub -> Value.Int (x - y)
+      | Mul -> Value.Int (x * y)
+      | Div -> if y = 0 then error "division by zero" else Value.Int (x / y)
+      | Mod -> if y = 0 then error "modulo by zero" else Value.Int (x mod y)
+      | _ -> assert false)
   | Value.Null, _ | _, Value.Null -> Value.Null
   | _ -> (
       match (as_number a, as_number b, op) with
-      | `I x, `I y, Add -> Value.Int (x + y)
-      | `I x, `I y, Sub -> Value.Int (x - y)
-      | `I x, `I y, Mul -> Value.Int (x * y)
-      | `I x, `I y, Div ->
-          if y = 0 then error "division by zero" else Value.Int (x / y)
-      | `I x, `I y, Mod ->
-          if y = 0 then error "modulo by zero" else Value.Int (x mod y)
-      | (`F _ | `I _), (`F _ | `I _), Mod -> error "modulo requires integers"
+      | _, _, Mod -> error "modulo requires integers"
       | nx, ny, _ ->
           let f = function `I i -> float_of_int i | `F f -> f in
           let x = f nx and y = f ny in
@@ -127,6 +160,12 @@ let arith op a b =
             | _ -> assert false
           in
           Value.Float r)
+
+let v_true = Value.Bool true
+
+let v_false = Value.Bool false
+
+let of_bool b = if b then v_true else v_false
 
 let compare_op op a b =
   match Value.compare_sql a b with
@@ -145,14 +184,14 @@ let compare_op op a b =
         | Ge -> c >= 0
         | _ -> assert false
       in
-      Value.Bool r
+      of_bool r
 
 let as_bool3 = function
   | Value.Null -> None
   | Value.Bool b -> Some b
   | v -> error "expected a boolean, got %s" (Value.to_string v)
 
-let of_bool3 = function None -> Value.Null | Some b -> Value.Bool b
+let of_bool3 = function None -> Value.Null | Some b -> of_bool b
 
 let text_of = function
   | Value.Null -> None
@@ -275,7 +314,7 @@ let rec eval env e =
         loop false items
   | Is_null (a, want_null) ->
       let v = eval env a in
-      Value.Bool (Value.is_null v = want_null)
+      of_bool (Value.is_null v = want_null)
   | Agg _ -> error "aggregate not allowed in this context"
   | Subquery sel -> (
       match run_subquery env sel with
@@ -284,7 +323,7 @@ let rec eval env e =
           if Array.length row <> 1 then error "scalar subquery must return one column"
           else row.(0)
       | _ -> error "scalar subquery returned more than one row")
-  | Exists sel -> Value.Bool (run_subquery env sel <> [])
+  | Exists sel -> of_bool (run_subquery env sel <> [])
   | In_select (x, sel) -> (
       let xv = eval env x in
       if Value.is_null xv then Value.Null
@@ -320,88 +359,92 @@ let eval_bool env e = as_bool3 (eval env e)
 
 (* --- aggregates --------------------------------------------------------- *)
 
+(* One pass over the group, no intermediate lists (except the distinct
+   set). Errors keep the list-based definition's precedence: every
+   argument is evaluated before a non-numeric SUM/AVG input is reported,
+   and the first such input in group order is the one named. *)
 let compute_agg kind arg group =
   match kind with
   | Count_star -> Value.Int (List.length group)
   | Count ->
       let arg = Option.get arg in
       Value.Int
-        (List.length
-           (List.filter (fun env -> not (Value.is_null (eval env arg))) group))
+        (List.fold_left
+           (fun n env -> if Value.is_null (eval env arg) then n else n + 1)
+           0 group)
   | Count_distinct ->
       let arg = Option.get arg in
       let values =
-        List.filter_map
-          (fun env -> match eval env arg with Value.Null -> None | v -> Some v)
-          group
+        List.fold_left
+          (fun acc env -> match eval env arg with Value.Null -> acc | v -> v :: acc)
+          [] group
       in
-      Value.Int
-        (List.length (List.sort_uniq Value.compare_total values))
-  | Sum | Avg -> (
+      Value.Int (List.length (List.sort_uniq Value.compare_total values))
+  | Sum | Avg ->
       let arg = Option.get arg in
-      let values =
-        List.filter_map
-          (fun env -> match eval env arg with Value.Null -> None | v -> Some v)
-          group
-      in
-      match values with
-      | [] -> Value.Null
-      | _ ->
-          let all_int = List.for_all (function Value.Int _ -> true | _ -> false) values in
-          if kind = Sum && all_int then
-            Value.Int
-              (List.fold_left
-                 (fun acc v -> match v with Value.Int i -> acc + i | _ -> acc)
-                 0 values)
-          else
-            let total =
-              List.fold_left
-                (fun acc v ->
-                  match v with
-                  | Value.Int i -> acc +. float_of_int i
-                  | Value.Float f -> acc +. f
-                  | v -> error "cannot aggregate %s" (Value.to_string v))
-                0. values
-            in
-            if kind = Sum then Value.Float total
-            else Value.Float (total /. float_of_int (List.length values)))
-  | Min | Max -> (
+      let count = ref 0 and int_total = ref 0 and all_int = ref true in
+      (* a flat float array, so accumulating does not box *)
+      let float_total = [| 0. |] in
+      let bad = ref Value.Null in
+      List.iter
+        (fun env ->
+          match eval env arg with
+          | Value.Null -> ()
+          | Value.Int i ->
+              incr count;
+              int_total := !int_total + i;
+              float_total.(0) <- float_total.(0) +. float_of_int i
+          | Value.Float f ->
+              incr count;
+              all_int := false;
+              float_total.(0) <- float_total.(0) +. f
+          | v ->
+              incr count;
+              all_int := false;
+              if Value.is_null !bad then bad := v)
+        group;
+      if !count = 0 then Value.Null
+      else if kind = Sum && !all_int then Value.Int !int_total
+      else if not (Value.is_null !bad) then
+        error "cannot aggregate %s" (Value.to_string !bad)
+      else if kind = Sum then Value.Float float_total.(0)
+      else Value.Float (float_total.(0) /. float_of_int !count)
+  | Min | Max ->
       let arg = Option.get arg in
-      let values =
-        List.filter_map
-          (fun env -> match eval env arg with Value.Null -> None | v -> Some v)
-          group
-      in
-      match values with
-      | [] -> Value.Null
-      | first :: rest ->
-          let better a b =
-            let c = Value.compare_total a b in
-            if kind = Min then c < 0 else c > 0
-          in
-          List.fold_left (fun acc v -> if better v acc then v else acc) first rest)
+      (* NULL inputs are skipped, so NULL doubles as "no value yet"; ties
+         keep the earliest row's value *)
+      List.fold_left
+        (fun best env ->
+          match eval env arg with
+          | Value.Null -> best
+          | v ->
+              if Value.is_null best then v
+              else
+                let c = Value.compare_total v best in
+                if (kind = Min && c < 0) || (kind = Max && c > 0) then v else best)
+        Value.Null group
 
-let rec eval_grouped ~group env e =
+let rec grouped output group env e =
   match e with
   | Agg (kind, arg) -> compute_agg kind arg group
+  | Col (None, c) -> ( match output c with Some v -> v | None -> eval env e)
   | Lit _ | Col _ | Param _ | Named_param _ -> eval env e
   | Binop (op, a, b) ->
       (* Rebuild on pre-evaluated literals so 3VL/short-circuit logic in
          [eval] is reused. *)
-      let av = eval_grouped ~group env a and bv = eval_grouped ~group env b in
+      let av = grouped output group env a and bv = grouped output group env b in
       eval env (Binop (op, lift av, lift bv))
-  | Unop (op, a) -> eval env (Unop (op, lift (eval_grouped ~group env a)))
-  | Call (name, args) ->
-      call_function name (List.map (eval_grouped ~group env) args)
+  | Unop (op, a) -> eval env (Unop (op, lift (grouped output group env a)))
+  | Call (name, args) -> call_function name (List.map (grouped output group env) args)
   | Between (x, lo, hi) ->
-      eval_grouped ~group env (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
+      grouped output group env (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
   | In_list (x, items) ->
       eval env
-        (In_list (lift (eval_grouped ~group env x),
-                  List.map (fun i -> lift (eval_grouped ~group env i)) items))
-  | Is_null (a, w) -> eval env (Is_null (lift (eval_grouped ~group env a), w))
+        (In_list (lift (grouped output group env x),
+                  List.map (fun i -> lift (grouped output group env i)) items))
+  | Is_null (a, w) -> eval env (Is_null (lift (grouped output group env a), w))
   | Subquery _ | Exists _ -> eval env e
-  | In_select (x, sel) -> eval env (In_select (lift (eval_grouped ~group env x), sel))
+  | In_select (x, sel) -> eval env (In_select (lift (grouped output group env x), sel))
 
 and lift v =
   match v with
@@ -410,3 +453,5 @@ and lift v =
   | Value.Float f -> Lit (L_float f)
   | Value.Text s -> Lit (L_text s)
   | Value.Bool b -> Lit (L_bool b)
+
+let eval_grouped ?(output = fun _ -> None) ~group env e = grouped output group env e

@@ -62,9 +62,16 @@ val eval_bool : env -> Brdb_sql.Ast.expr -> bool option
 (** [eval_grouped ~group env e] evaluates an expression that may contain
     aggregates: aggregate nodes are computed over [group] (the environments
     of the group's rows); everything else is evaluated in [env]
-    (a representative row, or an empty env for an empty group). *)
+    (a representative row, or an empty env for an empty group).
+    [output name], when [Some v], gives the value of an unqualified column
+    reference [name] outside aggregates (the executor passes a select's
+    output aliases, so ORDER BY/HAVING reuse the item values). *)
 val eval_grouped :
-  group:env list -> env -> Brdb_sql.Ast.expr -> Brdb_storage.Value.t
+  ?output:(string -> Brdb_storage.Value.t option) ->
+  group:env list ->
+  env ->
+  Brdb_sql.Ast.expr ->
+  Brdb_storage.Value.t
 
 (** Does the expression contain an aggregate node? *)
 val has_aggregate : Brdb_sql.Ast.expr -> bool

@@ -482,8 +482,7 @@ end)
 (* --- static select planning --------------------------------------------- *)
 
 type join_strategy =
-  | Nested
-      (* per-outer-row scan; access path re-chosen with the outer row bound *)
+  | Nested  (* per-outer-row scan on the plan's [tp_path_hint] *)
   | Hashed of {
       h_key_cols : int list;  (* inner columns of the equi-key *)
       h_key_outer : expr list;  (* matching outer-side expressions *)
@@ -499,7 +498,7 @@ type table_plan = {
          whose filters live in the strategy) *)
   tp_path_hint : path;
       (* the path [choose_path] picks with all earlier tables pseudo-bound;
-         what a nested-loop scan will use at runtime (display + strategy) *)
+         the path this table is scanned on (see [joined_rows]) *)
   tp_join : (join_clause * join_strategy) option;  (* None for the base table *)
 }
 
@@ -662,26 +661,19 @@ let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
         | Some residual ->
             List.for_all (fun c -> Eval.eval_bool env c = Some true) residual
       in
-      let where_conj = match sel.where with None -> [] | Some w -> conjuncts_of w in
-      (* WHERE conjuncts may sharpen the access path of inner joins, but a
-         LEFT JOIN's matches are defined by its ON clause alone. *)
-      let scan_one ?path (tp : table_plan) extra_conjuncts ~use_where env k =
-        let table = tp.tp_table in
-        let alias = alias_of tp.tp_ref in
-        let path =
-          match path with
-          | Some p -> p
-          | None ->
-              let conjuncts =
-                extra_conjuncts @ if use_where then where_conj else []
-              in
-              choose_path table env ~hash_ops:mode.hash_ops alias conjuncts
-        in
+      (* Every scan runs on its plan's [tp_path_hint]. For a nested-loop
+         join that is exactly the path [choose_path] would pick with the
+         outer row bound: the choice depends only on which names resolve
+         in the env (and the catalog), never on the bound values, and the
+         plan-time env binds the same aliases and schemas as the runtime
+         one (null rows in place of real ones). So the path is computed
+         once per statement, not once per outer row. *)
+      let scan_one (tp : table_plan) env k =
         let spec =
           {
-            sc_table = table;
-            sc_alias = alias;
-            sc_path = path;
+            sc_table = tp.tp_table;
+            sc_alias = alias_of tp.tp_ref;
+            sc_path = tp.tp_path_hint;
             sc_provenance = provenance;
             sc_filters = tp.tp_filters;
           }
@@ -762,15 +754,13 @@ let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
             | Nested -> (
                 match j.j_kind with
                 | J_inner ->
-                    scan_one tp (conjuncts_of j.j_on) ~use_where:true env
-                      (fun env' ->
+                    scan_one tp env (fun env' ->
                         match Eval.eval_bool env' j.j_on with
                         | Some true -> do_joins rest env'
                         | _ -> ())
                 | J_left ->
                     let matched = ref false in
-                    scan_one tp (conjuncts_of j.j_on) ~use_where:false env
-                      (fun env' ->
+                    scan_one tp env (fun env' ->
                         match Eval.eval_bool env' j.j_on with
                         | Some true ->
                             matched := true;
@@ -812,10 +802,7 @@ let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
                     do_joins rest (null_extended env tp)
                 | _ -> ()))
       in
-      (* The base scan's inputs are exactly the hint's: reuse it instead of
-         re-deriving the path. *)
-      scan_one ~path:base_tp.tp_path_hint base_tp [] ~use_where:true base_env
-        (fun env -> do_joins join_tps env)
+      scan_one base_tp base_env (fun env -> do_joins join_tps env)
 
 let item_columns ~provenance (sel : select) (sample_env : Eval.env option) =
   let star_columns () =
@@ -899,14 +886,13 @@ let exec_select catalog txn mode ~base_env (sel : select) =
   let rows =
     if not aggregated then
       (* Plain projection per row; ORDER BY keys evaluated on the row env. *)
+      let key_exprs =
+        List.map (fun k -> substitute_aliases sel.items k.o_expr) sel.order_by
+      in
       let decorated =
         List.map
           (fun env ->
-            let keys =
-              List.map
-                (fun k -> Eval.eval env (substitute_aliases sel.items k.o_expr))
-                sel.order_by
-            in
+            let keys = List.map (Eval.eval env) key_exprs in
             let values =
               List.concat_map
                 (function
@@ -977,15 +963,39 @@ let exec_select catalog txn mode ~base_env (sel : select) =
                  (fun key group acc -> (key, List.rev group) :: acc)
                  m [])
       in
+      (* ORDER BY and HAVING see the output aliases: each alias stands for
+         its item's value, computed once per group and shared with the
+         projection (evaluated where the alias first appears, so errors
+         surface in the same order as with the alias substituted). *)
+      let item_exprs =
+        Array.of_list
+          (List.map (function Sel_expr (e, _) -> e | Star -> assert false) sel.items)
+      in
+      let aliases =
+        List.concat
+          (List.mapi
+             (fun j -> function Sel_expr (_, Some a) -> [ (a, j) ] | _ -> [])
+             sel.items)
+      in
       let decorated =
         List.filter_map
           (fun (_key, group) ->
             let rep = match group with e :: _ -> e | [] -> base_env in
+            let values = Array.make (Array.length item_exprs) Value.Null in
+            let known = Array.make (Array.length item_exprs) false in
+            let item j =
+              if not known.(j) then begin
+                values.(j) <- Eval.eval_grouped ~group rep item_exprs.(j);
+                known.(j) <- true
+              end;
+              values.(j)
+            in
+            let output a = Option.map item (List.assoc_opt a aliases) in
             let keep =
               match sel.having with
               | None -> true
               | Some h -> (
-                  match Eval.eval_grouped ~group rep (substitute_aliases sel.items h) with
+                  match Eval.eval_grouped ~output ~group rep h with
                   | Value.Bool true -> true
                   | _ -> false)
             in
@@ -993,18 +1003,10 @@ let exec_select catalog txn mode ~base_env (sel : select) =
             else
               let keys =
                 List.map
-                  (fun k ->
-                    Eval.eval_grouped ~group rep (substitute_aliases sel.items k.o_expr))
+                  (fun k -> Eval.eval_grouped ~output ~group rep k.o_expr)
                   sel.order_by
               in
-              let values =
-                List.concat_map
-                  (function
-                    | Star -> assert false
-                    | Sel_expr (e, _) -> [ Eval.eval_grouped ~group rep e ])
-                  sel.items
-              in
-              Some (keys, values))
+              Some (keys, List.init (Array.length item_exprs) item))
           groups
       in
       (decorated, sel.order_by)
@@ -1041,11 +1043,12 @@ let exec_select catalog txn mode ~base_env (sel : select) =
   let deduped =
     if not sel.distinct then sorted
     else begin
-      (* keep the first occurrence of each projected row *)
+      (* keep the first occurrence of each projected row; keyed like GROUP
+         BY, so values [Value.compare_total] calls equal are one row *)
       let seen = Hashtbl.create 16 in
       List.filter
         (fun (_, v) ->
-          let key = String.concat "|" (List.map Value.encode v) in
+          let key = key_string v in
           if Hashtbl.mem seen key then false
           else begin
             Hashtbl.replace seen key ();
@@ -1072,10 +1075,10 @@ let check_unique_at_insert catalog txn table row ~exclude_vid =
         let dup = ref false in
         Table.iter_index table ~column:col ~lo:(Index.Incl key) ~hi:(Index.Incl key)
           (fun u ->
-            if
-              Some u.Version.vid <> exclude_vid
-              && visible txn ~provenance:false u
-            then dup := true);
+            let excluded =
+              match exclude_vid with Some vid -> vid = u.Version.vid | None -> false
+            in
+            if (not excluded) && visible txn ~provenance:false u then dup := true);
         if !dup then
           let cname = (Table.schema table).Schema.columns.(col).Schema.name in
           fail "duplicate key %s.%s=%s" (Table.name table) cname (Value.to_string key)

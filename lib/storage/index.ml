@@ -62,6 +62,8 @@ let iter_range t ~lo ~hi f =
   walk seq
 
 let iter_eq t key f =
-  match VMap.find_opt key t.map with None -> () | Some s -> ISet.iter f s
+  match VMap.find key t.map with
+  | s -> ISet.iter f s
+  | exception Not_found -> ()
 
 let cardinal t = VMap.fold (fun _ s acc -> acc + ISet.cardinal s) t.map 0

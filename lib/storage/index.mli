@@ -22,6 +22,9 @@ val remove : t -> Value.t -> int -> unit
     given bounds, in key order (ties in vid order). *)
 val iter_range : t -> lo:bound -> hi:bound -> (int -> unit) -> unit
 
+(** [iter_eq t key f] calls [f vid] for every entry with key equal to
+    [key] under {!Value.compare_total}, in vid order: the same calls as
+    [iter_range t ~lo:(Incl key) ~hi:(Incl key) f]. *)
 val iter_eq : t -> Value.t -> (int -> unit) -> unit
 
 val cardinal : t -> int

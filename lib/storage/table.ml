@@ -147,9 +147,15 @@ let iter_index t ~column ~lo ~hi f =
       invalid_arg
         (Printf.sprintf "Table.iter_index: no index on column %d of %s" column
            (name t))
-  | Some idx ->
-      Index.iter_range idx ~lo ~hi (fun vid ->
-          match Vec.get t.heap vid with Some v -> f v | None -> ())
+  | Some idx -> (
+      let visit vid = match Vec.get t.heap vid with Some v -> f v | None -> () in
+      match (lo, hi) with
+      | Index.Incl a, Index.Incl b when Value.compare_total a b = 0 ->
+          (* Point probe: keys are unique under [compare_total], so the
+             one entry equal to [a] is the whole range, in the same vid
+             order, without seeking a sequence. *)
+          Index.iter_eq idx a visit
+      | _ -> Index.iter_range idx ~lo ~hi visit)
 
 let pk_lookup t key f =
   match t.schema.Schema.pk_index with

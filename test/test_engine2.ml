@@ -181,6 +181,21 @@ let test_select_distinct () =
   check_rows "distinct over pairs" [ [ vi 5; vi 10 ]; [ vi 7; vi 14 ] ]
     (run fx "SELECT DISTINCT v, v * 2 FROM t ORDER BY v")
 
+(* DISTINCT keys rows the way GROUP BY and [=] compare them: an INT 1
+   and a FLOAT 1.0 in the same column are one value. *)
+let test_distinct_equal_numbers () =
+  let fx = make_fixture () in
+  ignore (run fx "CREATE TABLE f (id INT PRIMARY KEY, x FLOAT)");
+  ignore (run fx "INSERT INTO f VALUES (1, 1), (2, 1.0), (3, 2.5), (4, 1)");
+  check_rows "1 and 1.0 are one row" [ [ vi 1 ]; [ vf 2.5 ] ]
+    (run fx "SELECT DISTINCT x FROM f ORDER BY x");
+  check_rows "agrees with GROUP BY" [ [ vi 1 ]; [ vf 2.5 ] ]
+    (run fx "SELECT x FROM f GROUP BY x ORDER BY x");
+  check_rows "agrees with COUNT(DISTINCT)" [ [ vi 2 ] ]
+    (run fx "SELECT COUNT(DISTINCT x) FROM f");
+  check_rows "pairs compare numerically" [ [ vi 1; vi 2 ]; [ vf 2.5; vi 5 ] ]
+    (run fx "SELECT DISTINCT x, x * 2 FROM f ORDER BY x")
+
 let test_negative_range_scan () =
   let fx = make_fixture () in
   ignore (run fx "CREATE TABLE t (id INT PRIMARY KEY)");
@@ -433,6 +448,78 @@ let test_subquery_determinism_guard () =
   | Ok () -> Alcotest.fail "unordered LIMIT in subquery passed"
   | Error _ -> ()
 
+(* --- allocation budgets -------------------------------------------------------- *)
+
+(* Minor words one [Exec.execute] of [sql] allocates in a fresh transaction,
+   which is aborted afterwards; the second of two runs is measured. Native
+   code only: bytecode boxes every intermediate. *)
+let execute_words fx ?params sql =
+  let stmt = Result.get_ok (Brdb_sql.Parser.parse sql) in
+  let once () =
+    let txn = fresh_txn fx in
+    let before = Gc.minor_words () in
+    let r = Exec.execute fx.catalog txn ?params stmt in
+    let words = Gc.minor_words () -. before in
+    Manager.abort fx.mgr txn (Txn.Contract_error "measured");
+    (match r with Ok _ -> () | Error e -> Alcotest.fail (Exec.error_to_string e));
+    words
+  in
+  ignore (once ());
+  once ()
+
+(* The complex-group contract's query (Fig. 7) over tables shaped like the
+   benchmark's: 100 parts, 400 orders over 50 customers, so the join reads
+   8 orders and probes the parts key once per order. *)
+let test_group_query_word_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let fx = make_fixture () in
+    List.iter
+      (fun sql -> ignore (run fx sql))
+      [
+        "CREATE TABLE parts (part_id INT PRIMARY KEY, price INT, grp INT)";
+        "CREATE TABLE orders (order_id INT PRIMARY KEY, customer_id INT, part_id INT, qty INT)";
+        "CREATE INDEX orders_customer ON orders (customer_id)";
+        "INSERT INTO parts VALUES "
+        ^ String.concat ", "
+            (List.init 100 (fun p -> Printf.sprintf "(%d, %d, %d)" p ((p mod 20) + 1) (p mod 5)));
+        "INSERT INTO orders VALUES "
+        ^ String.concat ", "
+            (List.init 400 (fun o ->
+                 Printf.sprintf "(%d, %d, %d, %d)" o (o mod 50) (o mod 100) ((o mod 7) + 1)));
+      ];
+    let words =
+      execute_words fx ~params:[| vi 7 |]
+        "SELECT SUM(o.qty * p.price) AS t FROM orders o JOIN parts p ON o.part_id = \
+         p.part_id WHERE o.customer_id = $1 GROUP BY p.grp ORDER BY t DESC LIMIT 1"
+    in
+    if words > 5000. then
+      Alcotest.failf "complex-group query allocated %.0f words (budget 5000)" words
+  end
+
+(* Reaching a key's visible version walks its whole version chain; the walk
+   itself must not allocate, so a key with 300 versions costs (almost) what
+   a key with 10 does. *)
+let test_version_chain_word_budget () =
+  if Sys.backend_type = Sys.Native then begin
+    let fx = make_fixture () in
+    ignore (run fx "CREATE TABLE kv (k INT PRIMARY KEY, v INT)");
+    ignore (run fx "INSERT INTO kv VALUES (1, 0), (2, 0)");
+    for _ = 2 to 10 do
+      ignore (run fx "UPDATE kv SET v = v + 1 WHERE k = 1")
+    done;
+    for _ = 2 to 300 do
+      ignore (run fx "UPDATE kv SET v = v + 1 WHERE k = 2")
+    done;
+    List.iter
+      (fun sql ->
+        let short = execute_words fx ~params:[| vi 1 |] sql in
+        let long = execute_words fx ~params:[| vi 2 |] sql in
+        if long -. short > 64. then
+          Alcotest.failf "%s: %.0f words on 300 versions vs %.0f on 10 (budget +64)" sql
+            long short)
+      [ "UPDATE kv SET v = v + 1 WHERE k = $1"; "SELECT v FROM kv WHERE k = $1" ]
+  end
+
 let suites =
   [
     ( "engine2.scalars",
@@ -453,6 +540,8 @@ let suites =
           test_order_by_mixed_directions_and_limit_zero;
         Alcotest.test_case "negative range scans" `Quick test_negative_range_scan;
         Alcotest.test_case "select distinct" `Quick test_select_distinct;
+        Alcotest.test_case "distinct keys equal numbers once" `Quick
+          test_distinct_equal_numbers;
         Alcotest.test_case "having without group by" `Quick test_having_without_group_by;
         Alcotest.test_case "float aggregates" `Quick test_aggregates_over_floats;
         Alcotest.test_case "type conversions" `Quick test_conversions;
@@ -471,5 +560,12 @@ let suites =
         Alcotest.test_case "delete + reinsert same pk" `Quick test_delete_then_reinsert_same_pk;
         Alcotest.test_case "UPDATE sees old row" `Quick test_update_expression_uses_other_columns;
         Alcotest.test_case "params in ranges/sets" `Quick test_params_in_ranges_and_sets;
+      ] );
+    ( "engine2.alloc",
+      [
+        Alcotest.test_case "complex-group query word budget" `Quick
+          test_group_query_word_budget;
+        Alcotest.test_case "version chain word budget" `Quick
+          test_version_chain_word_budget;
       ] );
   ]

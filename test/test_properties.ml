@@ -649,6 +649,10 @@ module Catalog = Brdb_storage.Catalog
 
 let oracle_mode = { Exec.default_mode with Exec.hash_ops = false }
 
+(* Predicates (newest first) the last statement an [ab_fixture] runner
+   executed recorded. *)
+let last_predicates : Brdb_storage.Predicate.t list ref = ref []
+
 (* Fresh single-node catalog: t1(a pk, b, c) and t2(d pk, e) with b/e drawn
    from a small domain; b and e are NULL when negative. Returns a runner
    that executes one auto-committed statement. *)
@@ -670,6 +674,7 @@ let ab_fixture rows1 rows2 =
     in
     match Exec.execute_sql catalog txn ?mode sql with
     | Ok rs ->
+        last_predicates := txn.Brdb_txn.Txn.predicates;
         incr height;
         Brdb_txn.Manager.commit mgr txn ~height:!height;
         rs
@@ -736,8 +741,49 @@ let prop_hash_join_matches_nested_loop =
             true );
           ( "SELECT x.a, y.a FROM t1 x JOIN t1 y ON x.b = y.b WHERE x.a < y.a",
             false );
+          (* Index-driven nested loops: the inner side is probed through
+             its primary key on the path planned once per statement. *)
+          ("SELECT t1.a, t2.e FROM t1 JOIN t2 ON t2.d = t1.b", false);
+          ( "SELECT t1.a, t2.e FROM t1 JOIN t2 ON t2.d = t1.b WHERE t2.e > 2",
+            false );
+          ( "SELECT t1.a, t2.e FROM t1 LEFT JOIN t2 ON t2.d = t1.b ORDER BY t1.a",
+            true );
+          ("SELECT x.a, y.c FROM t1 x JOIN t1 y ON y.a = x.b", false);
+          ( "SELECT t1.a, t2.d, z.c FROM t1 JOIN t2 ON t2.d = t1.b JOIN t1 z \
+             ON z.a = t2.e",
+            false );
         ];
       true)
+
+(* A nested-loop join scans its inner table on the path planned for the
+   statement: one point predicate on the inner key per outer row (each
+   outer row here has its own key), recorded in outer-row order after the
+   outer table's own scan. *)
+let test_nested_join_records_point_predicates () =
+  let module Predicate = Brdb_storage.Predicate in
+  let module Index = Brdb_storage.Index in
+  let run = ab_fixture [ (3, 0); (1, 0); (-1, 0); (6, 0); (4, 0) ] [ 2; 0; 5; 1; 3 ] in
+  let expected =
+    Predicate.Full_scan { table = "t1" }
+    :: List.map
+         (fun b ->
+           Predicate.Range { table = "t2"; column = 0; lo = Index.Incl b; hi = Index.Incl b })
+         Value.[ Int 3; Int 1; Null; Int 6; Int 4 ]
+  in
+  List.iter
+    (fun sql ->
+      let stats = Exec.new_stats () in
+      ignore (run ~mode:{ Exec.default_mode with Exec.stats = Some stats } sql);
+      let got = List.rev !last_predicates in
+      if got <> expected then
+        Alcotest.failf "%s: recorded %d predicates, expected %d" sql (List.length got)
+          (List.length expected);
+      if Exec.visited_counts stats <> [ ("index_scan", "t2", 3); ("seq_scan", "t1", 5) ]
+      then Alcotest.failf "%s: unexpected scan counts" sql)
+    [
+      "SELECT t1.a, t2.e FROM t1 JOIN t2 ON t2.d = t1.b";
+      "SELECT t1.a, t2.e FROM t1 LEFT JOIN t2 ON t2.d = t1.b";
+    ]
 
 let prop_hash_agg_matches_list_agg =
   QCheck.Test.make
@@ -756,6 +802,169 @@ let prop_hash_agg_matches_list_agg =
           ("SELECT a, c FROM t1 ORDER BY c, a LIMIT 3", true);
           ("SELECT a FROM t1 WHERE b IN (1, 3, 5)", false);
         ];
+      true)
+
+(* --- name resolution oracle ------------------------------------------------ *)
+
+module Eval = Brdb_engine.Eval
+module Schema = Brdb_storage.Schema
+module Version = Brdb_storage.Version
+
+(* The list-filtering resolver [Eval.lookup_column] replaced, kept here as
+   its oracle: split the bindings into the current scope and the outer
+   context, then filter each. *)
+module Reference_lookup = struct
+  let error fmt = Printf.ksprintf (fun msg -> raise (Eval.Error msg)) fmt
+
+  let pseudo_column (b : Eval.binding) name =
+    match (b.version, name) with
+    | None, ("xmin" | "xmax" | "creator" | "deleter") -> Some Value.Null
+    | Some v, "xmin" -> Some (Value.Int v.Version.xmin)
+    | Some v, "xmax" ->
+        Some (if v.Version.xmax = 0 then Value.Null else Value.Int v.Version.xmax)
+    | Some v, "creator" ->
+        Some
+          (if v.Version.creator_block = Version.unset_block then Value.Null
+           else Value.Int v.Version.creator_block)
+    | Some v, "deleter" ->
+        Some
+          (if v.Version.deleter_block = Version.unset_block then Value.Null
+           else Value.Int v.Version.deleter_block)
+    | _ -> None
+
+  let binding_column (b : Eval.binding) name =
+    match Schema.column_index b.schema name with
+    | Some i -> Some b.values.(i)
+    | None -> if b.provenance then pseudo_column b name else None
+
+  let lookup_column (env : Eval.env) qualifier name =
+    let inner = List.filteri (fun i _ -> i >= env.scope_start) env.bindings in
+    let outer = List.filteri (fun i _ -> i < env.scope_start) env.bindings in
+    match qualifier with
+    | Some q -> (
+        let matches scope =
+          List.filter (fun (b : Eval.binding) -> String.equal b.alias q) scope
+        in
+        let pick scope =
+          match List.rev (matches scope) with b :: _ -> Some b | [] -> None
+        in
+        match (pick inner, pick outer) with
+        | Some b, _ | None, Some b -> (
+            match binding_column b name with
+            | Some v -> v
+            | None -> error "unknown column %s.%s" q name)
+        | None, None -> error "unknown table or alias %s" q)
+    | None -> (
+        let hits scope =
+          List.filter_map
+            (fun (b : Eval.binding) ->
+              Option.map (fun v -> (b.alias, v)) (binding_column b name))
+            scope
+        in
+        match hits inner with
+        | [ (_, v) ] -> v
+        | _ :: _ -> error "ambiguous column %s" name
+        | [] -> (
+            match List.rev (hits outer) with
+            | (_, v) :: _ -> v
+            | [] -> error "unknown column %s" name))
+end
+
+(* Schemas sharing column names, so unqualified names are often ambiguous
+   or shadowed. *)
+let lookup_schemas =
+  List.map
+    (fun (name, cols) ->
+      let columns =
+        List.map
+          (fun c ->
+            { Schema.name = c; ty = Brdb_sql.Ast.T_int; not_null = false; primary_key = false })
+          cols
+      in
+      Result.get_ok (Schema.create ~name ~columns))
+    [ ("s1", [ "x"; "y" ]); ("s2", [ "y"; "z" ]); ("s3", [ "x" ]); ("s4", [ "z"; "x"; "w" ]) ]
+
+type lookup_case = {
+  lk_bindings : (string * int * int option * bool) list;
+      (* alias, schema, version stamp (None: null-extended), provenance *)
+  lk_scope_start : int;
+  lk_qualifier : string option;
+  lk_name : string;
+}
+
+let gen_lookup_case =
+  QCheck.Gen.(
+    list_size (0 -- 5)
+      (quad (oneofl [ "a"; "b"; "c" ]) (0 -- 3) (opt (0 -- 3)) bool)
+    >>= fun bs ->
+    map3
+      (fun scope_start qualifier name ->
+        { lk_bindings = bs; lk_scope_start = scope_start; lk_qualifier = qualifier;
+          lk_name = name })
+      (0 -- List.length bs)
+      (opt (oneofl [ "a"; "b"; "c"; "d" ]))
+      (oneofl [ "x"; "y"; "z"; "w"; "v"; "xmin"; "xmax"; "creator"; "deleter" ]))
+
+let print_lookup_case c =
+  Printf.sprintf "bindings=[%s] scope_start=%d %s%s"
+    (String.concat "; "
+       (List.map
+          (fun (a, s, st, p) ->
+            Printf.sprintf "%s:s%d%s%s" a (s + 1)
+              (match st with None -> " null" | Some k -> Printf.sprintf " v%d" k)
+              (if p then " prov" else ""))
+          c.lk_bindings))
+    c.lk_scope_start
+    (match c.lk_qualifier with Some q -> q ^ "." | None -> "")
+    c.lk_name
+
+(* Values identify the binding and column they came from; the version
+   stamp sets the pseudo-columns, some of them unset. *)
+let lookup_env c =
+  let bindings =
+    List.mapi
+      (fun i (alias, s, stamp, provenance) ->
+        let schema = List.nth lookup_schemas s in
+        let values = Array.init (Schema.arity schema) (fun j -> Value.Int ((10 * i) + j)) in
+        let version =
+          Option.map
+            (fun k ->
+              let v = Version.make ~vid:i ~xmin:(100 + i) values in
+              if k >= 1 then v.Version.creator_block <- k;
+              if k >= 2 then v.Version.xmax <- 200 + i;
+              if k >= 3 then v.Version.deleter_block <- k + 1;
+              v)
+            stamp
+        in
+        { Eval.alias; schema; values; version; provenance })
+      c.lk_bindings
+  in
+  {
+    Eval.bindings;
+    scope_start = c.lk_scope_start;
+    params = [||];
+    named = [];
+    subquery = None;
+    semijoin = None;
+  }
+
+let prop_lookup_column_matches_reference =
+  QCheck.Test.make ~name:"eval: one-pass lookup_column == list-filtering reference"
+    ~count:2000
+    (QCheck.make ~print:print_lookup_case gen_lookup_case)
+    (fun c ->
+      let env = lookup_env c in
+      let outcome f =
+        match f env c.lk_qualifier c.lk_name with
+        | v -> Ok v
+        | exception Eval.Error msg -> Error msg
+      in
+      let got = outcome Eval.lookup_column
+      and want = outcome Reference_lookup.lookup_column in
+      if got <> want then
+        QCheck.Test.fail_reportf "got %s, reference %s"
+          (match got with Ok v -> Value.to_string v | Error m -> "error " ^ m)
+          (match want with Ok v -> Value.to_string v | Error m -> "error " ^ m);
       true)
 
 (* Regression: the index probe (including IN-probes) must examine strictly
@@ -824,7 +1033,10 @@ let suites =
         QCheck_alcotest.to_alcotest
           prop_chaos_decisions_agree_even_when_reasons_diverge;
         QCheck_alcotest.to_alcotest prop_hash_join_matches_nested_loop;
+        Alcotest.test_case "nested join: one point predicate per outer row" `Quick
+          test_nested_join_records_point_predicates;
         QCheck_alcotest.to_alcotest prop_hash_agg_matches_list_agg;
+        QCheck_alcotest.to_alcotest prop_lookup_column_matches_reference;
         Alcotest.test_case "index probe scans fewer rows than seq twin" `Quick
           test_index_probe_scans_fewer_rows;
       ] );
