@@ -44,3 +44,12 @@ dune exec tools/bench_diff.exe -- \
   --baseline BENCH_client.json --fresh "$fresh_json" \
   --tolerances tools/bench_tolerances.txt
 echo "admission gate ok (client plane vs BENCH_client.json)"
+# Ordering-plane gate: crash the Raft leader / BFT primary mid-run and
+# tamper deliveries; recovery must stay about as fast as the committed
+# quick-mode baseline, with no stalled run, decision mismatch or
+# diverged chain.
+dune exec bench/main.exe -- --quick --only ordering_faults --json "$fresh_json" > /dev/null
+dune exec tools/bench_diff.exe -- \
+  --baseline BENCH_consensus.json --fresh "$fresh_json" \
+  --tolerances tools/bench_tolerances.txt
+echo "ordering-fault gate ok (ordering_faults vs BENCH_consensus.json)"

@@ -556,23 +556,15 @@ let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
   Msg.Net.register net ~name (fun ~src msg -> handle t ~src msg);
   t
 
-let is_leader = is_primary
-
 let blocks_delivered t = t.delivered_count
 
+let cutter t = t.cutter
+
 let queued t = if t.crashed then 0 else Cutter.pending t.cutter
-
-let auth_verified t = Cutter.auth_verified t.cutter
-
-let auth_rejected t = Cutter.auth_rejected t.cutter
-
-let replays t = Cutter.replays t.cutter
 
 let view t = t.view
 
 let view_changes t = t.view_changes
-
-let name t = t.name
 
 let primary t = primary_of t t.view
 

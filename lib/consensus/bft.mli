@@ -57,14 +57,14 @@ val create :
 (** True when this replica is the primary of its current view. *)
 val is_primary : t -> bool
 
-(** Alias for {!is_primary} (the pre-view-change name). *)
-val is_leader : t -> bool
-
 val blocks_delivered : t -> int
 
-(** Transactions buffered for the next block (health plane, ISSUE 9):
-    the cutter backlog this node holds right now (0 while a crashed
-    Raft/Bft node is down). *)
+(** This replica's cutter. Only the primary cuts (and authenticates);
+    backups stash the backlog a view change may hand them. *)
+val cutter : t -> Cutter.t
+
+(** Transactions this replica holds for a future block: its cutter
+    backlog (0 while crashed). *)
 val queued : t -> int
 
 (** The current view number (0 until the first view change). *)
@@ -72,8 +72,6 @@ val view : t -> int
 
 (** How many view changes this replica has entered. *)
 val view_changes : t -> int
-
-val name : t -> string
 
 (** Name of the primary of this replica's current view. *)
 val primary : t -> string
@@ -89,12 +87,3 @@ val crash : t -> unit
 val restart : t -> unit
 
 val is_crashed : t -> bool
-
-(** Batch-authentication counters (ISSUE 10): transactions verified /
-    dropped at cut time, and duplicate ids observed (replay protection).
-    All 0 when no [auth] verifier was installed. *)
-val auth_verified : t -> int
-
-val auth_rejected : t -> int
-
-val replays : t -> int

@@ -2,28 +2,24 @@
 
     A simulated broker cluster assigns a total order (offsets) to
     published records and fans them out to every orderer node. Each
-    orderer consumes the stream in offset order and runs the identical
-    deterministic block-cutting logic (size cap or time-to-cut records),
-    so all orderers cut bit-identical blocks and deliver them to the
-    peers connected to them.
+    orderer consumes the stream in offset order through its own
+    {!Cut_stage} (size cap or time-to-cut records), so all orderers cut
+    bit-identical blocks and deliver them to the peers connected to them.
 
     Broker capacity is modelled as a serial CPU cost per published
     record — the reason Fig. 8(b)'s Kafka curve is flat in the number of
     orderer nodes. *)
 
-type cluster
-
-(** [create_cluster ~net ~name ~orderers ()] — [publish_cpu] defaults to
-    0.3 ms/record (≈3300 records/s ceiling). *)
+(** [create_cluster ~net ~name ~orderers ()] registers the broker
+    cluster as [name] — [publish_cpu] defaults to 0.3 ms/record (≈3300
+    records/s ceiling). *)
 val create_cluster :
   net:Msg.Net.net ->
   name:string ->
   ?publish_cpu:float ->
   orderers:string list ->
   unit ->
-  cluster
-
-val records_published : cluster -> int
+  unit
 
 type t
 
@@ -41,18 +37,4 @@ val create_orderer :
   unit ->
   t
 
-val blocks_cut : t -> int
-
-(** Transactions buffered for the next block (health plane, ISSUE 9):
-    the cutter backlog this node holds right now (0 while a crashed
-    Raft/Bft node is down). *)
-val queued : t -> int
-
-(** Batch-authentication counters (ISSUE 10): transactions verified /
-    dropped at cut time, and duplicate ids observed (replay protection).
-    All 0 when no [auth] verifier was installed. *)
-val auth_verified : t -> int
-
-val auth_rejected : t -> int
-
-val replays : t -> int
+val stage : t -> Cut_stage.t

@@ -1,4 +1,3 @@
-module Block = Brdb_ledger.Block
 module Clock = Brdb_sim.Clock
 module Cpu = Brdb_sim.Cpu
 module Rng = Brdb_sim.Rng
@@ -33,13 +32,8 @@ type t = {
   match_index : (string, int) Hashtbl.t;
   mutable timer_epoch : int;
   mutable crashed : bool;
-  (* application layer (block cutting) *)
-  cutter : Cutter.t;
-  assembler : Assembler.t;
-  block_timeout : float;
-  peers : string list;
+  stage : Cut_stage.t;  (* applies committed entries *)
   mutable pending_forward : Msg.kafka_entry list;  (* buffered while leaderless *)
-  mutable blocks : int;
   mutable elections : int;  (* times this node won an election *)
 }
 
@@ -55,13 +49,7 @@ let send t dst msg =
 
 let majority t = (List.length t.names / 2) + 1
 
-(* --- application layer: identical to the kafka orderer ------------------- *)
-
-let deliver_block t block =
-  t.blocks <- t.blocks + 1;
-  List.iter
-    (fun peer -> send t peer (Msg.Block_deliver block))
-    t.peers
+(* --- application layer: the shared cut stage ---------------------------- *)
 
 let propose t entry =
   (* Route an entry into the replicated log: append locally when leader,
@@ -72,32 +60,12 @@ let propose t entry =
     | Some leader -> send t leader (Msg.Kafka_publish entry)
     | None -> t.pending_forward <- entry :: t.pending_forward
 
-let arm_cut_timer t =
-  let target = Cutter.epoch t.cutter in
-  Clock.schedule t.clock ~delay:t.block_timeout (fun () ->
-      if
-        (not t.crashed)
-        && Cutter.epoch t.cutter = target
-        && Cutter.pending t.cutter > 0
-      then propose t (Msg.K_ttc target))
-
-let apply_entry t entry =
-  match entry with
-  | Msg.K_tx tx -> (
-      match Cutter.add t.cutter tx with
-      | Cutter.Cut txs -> deliver_block t (Assembler.make t.assembler txs)
-      | Cutter.First -> arm_cut_timer t
-      | Cutter.Buffered | Cutter.Duplicate -> ())
-  | Msg.K_ttc target ->
-      if target = Cutter.epoch t.cutter then
-        match Cutter.cut t.cutter with
-        | Some txs -> deliver_block t (Assembler.make t.assembler txs)
-        | None -> ()
-
 let apply_committed t =
   while t.last_applied < t.commit_index do
     t.last_applied <- t.last_applied + 1;
-    apply_entry t (snd (Vec.get t.log (t.last_applied - 1)))
+    if Cut_stage.apply t.stage (snd (Vec.get t.log (t.last_applied - 1))) then
+      Cut_stage.arm t.stage (fun target ->
+          if not t.crashed then propose t (Msg.K_ttc target))
   done
 
 (* --- raft core -------------------------------------------------------------- *)
@@ -323,12 +291,10 @@ let create ~net ~name ~names ~identity ~rng ?auth ~block_size ~block_timeout
       match_index = Hashtbl.create 8;
       timer_epoch = 0;
       crashed = false;
-      cutter = Cutter.create ?auth ~block_size ();
-      assembler = Assembler.create ~identity ~metadata:"raft";
-      block_timeout;
-      peers;
+      stage =
+        Cut_stage.create ~net ~name ~identity ?auth ~block_size ~block_timeout
+          ~metadata:"raft" ~cut_cpu:None ~peers ();
       pending_forward = [];
-      blocks = 0;
       elections = 0;
     }
   in
@@ -342,19 +308,13 @@ let term t = t.term
 
 let leader_hint t = t.leader_hint
 
-let blocks_cut t = t.blocks
+let stage t = t.stage
 
 let queued t =
   if t.crashed then 0
-  else Cutter.pending t.cutter + List.length t.pending_forward
+  else Cutter.pending (Cut_stage.cutter t.stage) + List.length t.pending_forward
 
 let elections t = t.elections
-
-let auth_verified t = Cutter.auth_verified t.cutter
-
-let auth_rejected t = Cutter.auth_rejected t.cutter
-
-let replays t = Cutter.replays t.cutter
 
 let commit_index t = t.commit_index
 

@@ -3,9 +3,9 @@
     A full Raft core — randomized election timeouts, leader election,
     log replication, majority commit — replicating the stream of
     transaction / time-to-cut entries. Every orderer applies committed
-    entries in log order through the same deterministic block-cutting
-    logic as the Kafka service, so all orderers emit identical blocks to
-    their connected peers.
+    entries in log order to its own {!Cut_stage}, as Kafka orderers apply
+    broker records, so all orderers emit identical blocks to their
+    connected peers.
 
     Listed by the paper (§3.1) as one of the pluggable CFT consensus
     algorithms. *)
@@ -36,11 +36,11 @@ val term : t -> int
 
 val leader_hint : t -> string option
 
-val blocks_cut : t -> int
+(** Applies the committed log; every node's stage sees every entry. *)
+val stage : t -> Cut_stage.t
 
-(** Transactions buffered for the next block (health plane, ISSUE 9):
-    the cutter backlog this node holds right now (0 while a crashed
-    Raft/Bft node is down). *)
+(** Transactions this node holds for a future block: its cutter backlog
+    plus the submissions it buffered while leaderless (0 while crashed). *)
 val queued : t -> int
 
 (** Times this node won an election (became leader). *)
@@ -57,12 +57,3 @@ val crash : t -> unit
 val restart : t -> unit
 
 val is_crashed : t -> bool
-
-(** Batch-authentication counters (ISSUE 10): transactions verified /
-    dropped at cut time, and duplicate ids observed (replay protection).
-    All 0 when no [auth] verifier was installed. *)
-val auth_verified : t -> int
-
-val auth_rejected : t -> int
-
-val replays : t -> int

@@ -1,154 +1,151 @@
 type kind = Solo | Kafka | Raft | Bft
 
-type handle =
-  | H_solo of Solo.t
-  | H_kafka of Kafka.cluster * Kafka.t list
-  | H_raft of Raft.t list
-  | H_bft of Bft.t list
+(* One record per orderer node, built once in [create]: what the
+   service-wide counters read, whatever the flavour behind the node. *)
+type node = {
+  name : string;
+  cutter : Cutter.t;
+  blocks : unit -> int;  (* blocks this node cut or delivered *)
+  backlog : unit -> int;  (* transactions it holds for a future block *)
+  lifecycle : ((unit -> unit) * (unit -> unit)) option;
+      (* crash, restart: Raft and Bft only *)
+}
 
-type t = { kind : kind; names : string list; handle : handle }
+type t = {
+  kind : kind;
+  nodes : node list;
+  (* How per-node auth counters add up to the service's. Kafka and Raft
+     nodes each apply the whole ordered stream to their own cutter, so
+     every node verifies every transaction: take the max. Only a Bft
+     primary cuts, and the primary moves with the view: take the sum. *)
+  combine : int -> int -> int;
+  raft : Raft.t list;
+  bft : Bft.t list;
+}
+
+let of_stage name stage =
+  let cutter = Cut_stage.cutter stage in
+  {
+    name;
+    cutter;
+    blocks = (fun () -> Cut_stage.blocks stage);
+    backlog = (fun () -> Cutter.pending cutter);
+    lifecycle = None;
+  }
 
 let create ~net ~kind ~orderer_names ~identity_of ~rng ?authenticator ~block_size
     ~block_timeout ~peers_of () =
   if orderer_names = [] then invalid_arg "Service.create: need at least one orderer";
-  let handle =
+  let nodes, raft, bft =
     match kind with
     | Solo ->
         let name = List.hd orderer_names in
-        H_solo
-          (Solo.create ~net ~name ~identity:(identity_of name) ?auth:authenticator
-             ~block_size ~block_timeout ~peers:(peers_of name) ())
-    | Kafka ->
-        let cluster_name = "kafka-cluster" in
-        let cluster =
-          Kafka.create_cluster ~net ~name:cluster_name ~orderers:orderer_names ()
+        let s =
+          Solo.create ~net ~name ~identity:(identity_of name) ?auth:authenticator
+            ~block_size ~block_timeout ~peers:(peers_of name) ()
         in
-        let orderers =
+        ([ of_stage name (Solo.stage s) ], [], [])
+    | Kafka ->
+        let cluster = "kafka-cluster" in
+        Kafka.create_cluster ~net ~name:cluster ~orderers:orderer_names ();
+        let node name =
+          Kafka.create_orderer ~net ~name ~identity:(identity_of name) ~cluster
+            ?auth:authenticator ~block_size ~block_timeout ~peers:(peers_of name) ()
+          |> Kafka.stage |> of_stage name
+        in
+        (List.map node orderer_names, [], [])
+    | Raft ->
+        let rs =
           List.map
             (fun name ->
-              Kafka.create_orderer ~net ~name ~identity:(identity_of name)
-                ~cluster:cluster_name ?auth:authenticator ~block_size
+              Raft.create ~net ~name ~names:orderer_names ~identity:(identity_of name)
+                ~rng:(Brdb_sim.Rng.split rng) ?auth:authenticator ~block_size
                 ~block_timeout ~peers:(peers_of name) ())
             orderer_names
         in
-        H_kafka (cluster, orderers)
-    | Raft ->
-        H_raft
-          (List.map
-             (fun name ->
-               Raft.create ~net ~name ~names:orderer_names
-                 ~identity:(identity_of name) ~rng:(Brdb_sim.Rng.split rng)
-                 ?auth:authenticator ~block_size ~block_timeout
-                 ~peers:(peers_of name) ())
-             orderer_names)
+        let node name r =
+          {
+            (of_stage name (Raft.stage r)) with
+            backlog = (fun () -> Raft.queued r);
+            lifecycle = Some ((fun () -> Raft.crash r), fun () -> Raft.restart r);
+          }
+        in
+        (List.map2 node orderer_names rs, rs, [])
     | Bft ->
-        H_bft
-          (List.map
-             (fun name ->
-               Bft.create ~net ~name ~names:orderer_names
-                 ~identity:(identity_of name) ?auth:authenticator ~block_size
-                 ~block_timeout ~peers:(peers_of name) ())
-             orderer_names)
+        let bs =
+          List.map
+            (fun name ->
+              Bft.create ~net ~name ~names:orderer_names ~identity:(identity_of name)
+                ?auth:authenticator ~block_size ~block_timeout ~peers:(peers_of name) ())
+            orderer_names
+        in
+        let node name b =
+          {
+            name;
+            cutter = Bft.cutter b;
+            blocks = (fun () -> Bft.blocks_delivered b);
+            backlog = (fun () -> Bft.queued b);
+            lifecycle = Some ((fun () -> Bft.crash b), fun () -> Bft.restart b);
+          }
+        in
+        (List.map2 node orderer_names bs, [], bs)
   in
-  { kind; names = orderer_names; handle }
+  { kind; nodes; combine = (if kind = Bft then ( + ) else max); raft; bft }
 
 let kind t = t.kind
 
-let orderer_names t = t.names
+let orderer_names t = List.map (fun n -> n.name) t.nodes
 
-let submit_target t i =
-  match t.handle with
-  | H_solo _ -> List.hd t.names
-  | _ -> List.nth t.names (i mod List.length t.names)
+let submit_target t i = (List.nth t.nodes (i mod List.length t.nodes)).name
 
-let blocks_cut t =
-  match t.handle with
-  | H_solo s -> [ (List.hd t.names, Solo.blocks_cut s) ]
-  | H_kafka (_, os) -> List.map2 (fun n o -> (n, Kafka.blocks_cut o)) t.names os
-  | H_raft rs -> List.map2 (fun n r -> (n, Raft.blocks_cut r)) t.names rs
-  | H_bft bs -> List.map2 (fun n b -> (n, Bft.blocks_delivered b)) t.names bs
+let blocks_cut t = List.map (fun n -> (n.name, n.blocks ())) t.nodes
 
-let cut_total t =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (blocks_cut t)
+let cut_total t = List.fold_left (fun acc n -> acc + n.blocks ()) 0 t.nodes
 
-let queued t =
-  let maxl f l = List.fold_left (fun acc x -> max acc (f x)) 0 l in
-  match t.handle with
-  | H_solo s -> Solo.queued s
-  | H_kafka (_, os) -> maxl Kafka.queued os
-  | H_raft rs -> maxl Raft.queued rs
-  | H_bft bs -> maxl Bft.queued bs
+let queued t = List.fold_left (fun acc n -> max acc (n.backlog ())) 0 t.nodes
 
-(* Service-level auth counters: Kafka orderers each consume the full
-   cluster stream and cut identical blocks, so their per-cutter counters
-   are copies — take the max, not the sum. Raft/Bft leadership moves, so
-   counts accumulate across whichever node was cutting — sum them. *)
-let auth_stat t ~solo ~kafka ~raft ~bft =
-  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
-  let maxl f l = List.fold_left (fun acc x -> max acc (f x)) 0 l in
-  match t.handle with
-  | H_solo s -> solo s
-  | H_kafka (_, os) -> maxl kafka os
-  | H_raft rs -> sum raft rs
-  | H_bft bs -> sum bft bs
+let auth_total t f = List.fold_left (fun acc n -> t.combine acc (f n.cutter)) 0 t.nodes
 
-let auth_verified t =
-  auth_stat t ~solo:Solo.auth_verified ~kafka:Kafka.auth_verified
-    ~raft:Raft.auth_verified ~bft:Bft.auth_verified
+let auth_verified t = auth_total t Cutter.auth_verified
 
-let auth_rejected t =
-  auth_stat t ~solo:Solo.auth_rejected ~kafka:Kafka.auth_rejected
-    ~raft:Raft.auth_rejected ~bft:Bft.auth_rejected
+let auth_rejected t = auth_total t Cutter.auth_rejected
 
-let auth_replayed t =
-  auth_stat t ~solo:Solo.replays ~kafka:Kafka.replays ~raft:Raft.replays
-    ~bft:Bft.replays
+let auth_replayed t = auth_total t Cutter.replays
 
-let raft_nodes t = match t.handle with H_raft rs -> rs | _ -> []
+let raft_nodes t = t.raft
 
-let bft_nodes t = match t.handle with H_bft bs -> bs | _ -> []
+let bft_nodes t = t.bft
 
-let node_of t name =
-  let idx =
-    let rec find i = function
-      | [] -> None
-      | n :: _ when String.equal n name -> Some i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 t.names
-  in
-  match idx with
-  | None -> None
-  | Some i -> (
-      match t.handle with
-      | H_raft rs -> Some (`Raft (List.nth rs i))
-      | H_bft bs -> Some (`Bft (List.nth bs i))
-      | H_solo _ | H_kafka _ -> None)
+let lifecycle t name =
+  match List.find_opt (fun n -> String.equal n.name name) t.nodes with
+  | Some { lifecycle = Some l; _ } -> Some l
+  | _ -> None
 
 let crash_orderer t name =
-  match node_of t name with
-  | Some (`Raft r) -> Raft.crash r; true
-  | Some (`Bft b) -> Bft.crash b; true
+  match lifecycle t name with
+  | Some (crash, _) ->
+      crash ();
+      true
   | None -> false
 
 let restart_orderer t name =
-  match node_of t name with
-  | Some (`Raft r) -> Raft.restart r; true
-  | Some (`Bft b) -> Bft.restart b; true
+  match lifecycle t name with
+  | Some (_, restart) ->
+      restart ();
+      true
   | None -> false
 
 let leader t =
-  match t.handle with
-  | H_solo _ -> Some (List.hd t.names)
-  | H_kafka _ -> None
-  | H_raft rs -> (
-      (* prefer an actual live leader; fall back to the freshest hint *)
-      match List.find_opt (fun r -> Raft.role r = Raft.Leader && not (Raft.is_crashed r)) rs with
-      | Some r ->
-          List.find_opt (fun n -> match node_of t n with Some (`Raft r') -> r' == r | _ -> false) t.names
-      | None -> None)
-  | H_bft bs -> (
-      match bs with
+  match t.kind with
+  | Solo -> Some (List.hd t.nodes).name
+  | Kafka -> None
+  | Raft ->
+      List.find_map
+        (fun (n, r) ->
+          if Raft.role r = Raft.Leader && not (Raft.is_crashed r) then Some n else None)
+        (List.combine (orderer_names t) t.raft)
+  | Bft -> (
+      match t.bft with
       | [] -> None
       | b :: rest ->
           (* the primary of the highest view any live replica is in *)
@@ -160,13 +157,13 @@ let leader t =
           Some (Bft.primary best))
 
 let elections t =
-  List.fold_left (fun acc r -> acc + Raft.elections r) 0 (raft_nodes t)
+  List.fold_left (fun acc r -> acc + Raft.elections r) 0 t.raft
 
 let view_changes t =
-  List.fold_left (fun acc b -> max acc (Bft.view_changes b)) 0 (bft_nodes t)
+  List.fold_left (fun acc b -> max acc (Bft.view_changes b)) 0 t.bft
 
 let term t =
-  List.fold_left (fun acc r -> max acc (Raft.term r)) 0 (raft_nodes t)
+  List.fold_left (fun acc r -> max acc (Raft.term r)) 0 t.raft
 
 let view t =
-  List.fold_left (fun acc b -> max acc (Bft.view b)) 0 (bft_nodes t)
+  List.fold_left (fun acc b -> max acc (Bft.view b)) 0 t.bft

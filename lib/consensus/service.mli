@@ -61,15 +61,17 @@ val queued : t -> int
 
 (** Batch-authentication totals across the service (ISSUE 10):
     transactions verified / forged-and-dropped at cut time, and duplicate
-    ids observed (replay protection). Kafka orderers cut identical blocks,
-    so their counters are maxed rather than summed. *)
+    ids observed (replay protection). Kafka and Raft nodes each apply the
+    whole ordered stream to their own cutter, so each verifies every
+    transaction and the total is the max over nodes; only a Bft primary
+    cuts, and the role moves with the view, so Bft sums over replicas. *)
 val auth_verified : t -> int
 
 val auth_rejected : t -> int
 
 val auth_replayed : t -> int
 
-(** Raft only: current leader if any (testing). *)
+(** Raft only: the node handles (testing). *)
 val raft_nodes : t -> Raft.t list
 
 (** Bft only: the replica handles (testing). *)

@@ -20,19 +20,5 @@ val create :
   unit ->
   t
 
-(** Blocks cut so far. *)
-val blocks_cut : t -> int
-
-(** Transactions buffered for the next block (health plane, ISSUE 9):
-    the cutter backlog this node holds right now (0 while a crashed
-    Raft/Bft node is down). *)
-val queued : t -> int
-
-(** Batch-authentication counters (ISSUE 10): transactions verified /
-    dropped at cut time, and duplicate ids observed (replay protection).
-    All 0 when no [auth] verifier was installed. *)
-val auth_verified : t -> int
-
-val auth_rejected : t -> int
-
-val replays : t -> int
+(** The cut stage: its cutter and the count of blocks delivered. *)
+val stage : t -> Cut_stage.t

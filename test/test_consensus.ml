@@ -126,9 +126,7 @@ let test_kafka_identical_blocks () =
   let peers = [ "peer-1"; "peer-2"; "peer-3" ] in
   let h = make_harness ~peers () in
   let orderers = [ "orderer-1"; "orderer-2"; "orderer-3" ] in
-  let _cluster =
-    Kafka.create_cluster ~net:h.net ~name:"kafka-cluster" ~orderers ()
-  in
+  Kafka.create_cluster ~net:h.net ~name:"kafka-cluster" ~orderers ();
   let _os =
     List.map2
       (fun name peer ->
@@ -286,7 +284,7 @@ let unique_blocks_for h peer =
 let test_bft_delivers_blocks () =
   let h = make_harness () in
   let nodes = setup_bft h ~n:4 in
-  Alcotest.(check bool) "first is leader" true (Bft.is_leader (List.hd nodes));
+  Alcotest.(check bool) "first is leader" true (Bft.is_primary (List.hd nodes));
   for i = 1 to 9 do
     (* submit to random replicas; they relay to the leader *)
     submit h ~dst:(Printf.sprintf "bft-%d" ((i mod 4) + 1)) (mk_tx i)
@@ -395,6 +393,141 @@ let test_bft_throughput_degrades_with_scale () =
   Alcotest.(check int) "n=4 delivers all" 50 b4;
   Alcotest.(check int) "n=16 delivers all" 50 b16
 
+(* --- the Service seam ----------------------------------------------------- *)
+
+(* The counters the database layer reads from the ordering service, pinned
+   for every kind on one seeded run through [Blockchain_db]: [signed]
+   client submissions, one replayed submission (the same signed tx sent
+   twice) and one forgery (signed by an identity the registry never saw). *)
+
+module B = Brdb_core.Blockchain_db
+
+type seam = {
+  blocks_cut : (string * int) list;
+  cut_total : int;
+  queued_mid : int;  (* 0.1 s in, while the last partial batch waits *)
+  queued : int;
+  auth : int * int * int;  (* verified, rejected, replayed *)
+  leader : string option;
+  churn : int * int * int * int;  (* elections, term, view, view_changes *)
+  crash : bool list;  (* crash_orderer on each orderer, then an unknown name *)
+  restart : bool list;
+}
+
+let seam_run ?(replay = true) ~kind ~n_orderers ~signed () =
+  let net =
+    B.create
+      {
+        (B.default_config ()) with
+        B.ordering = kind;
+        n_orderers;
+        block_size = 4;
+        block_timeout = 0.2;
+        seed = 7;
+      }
+  in
+  B.install_contract net ~name:"noop" (Brdb_contracts.Registry.Native (fun _ -> ()));
+  let svc = B.service net in
+  let send tx =
+    ignore
+      (Msg.Net.send (B.net net) ~src:"client/raw" ~dst:(Service.submit_target svc 0)
+         ~size_bytes:(Msg.size (Msg.Client_tx tx)) (Msg.Client_tx tx))
+  in
+  let alice = B.register_user net "org1/alice" in
+  for i = 1 to signed do
+    ignore (B.submit net ~user:alice ~contract:"noop" ~args:[ Brdb_storage.Value.Int i ])
+  done;
+  if replay then begin
+    let tx = Block.make_tx ~id:"replayed" ~identity:alice ~contract:"noop" ~args:[] in
+    send tx;
+    send tx
+  end;
+  send
+    (Block.make_tx ~id:"forged" ~identity:(Identity.create "org1/mallory")
+       ~contract:"noop" ~args:[]);
+  B.run net ~seconds:0.1;
+  let queued_mid = Service.queued svc in
+  B.settle net;
+  B.run net ~seconds:1.0;
+  (* Read every counter before crash/restart touches a node. *)
+  let blocks_cut = Service.blocks_cut svc in
+  let cut_total = Service.cut_total svc in
+  let queued = Service.queued svc in
+  let auth =
+    (Service.auth_verified svc, Service.auth_rejected svc, Service.auth_replayed svc)
+  in
+  let leader = Service.leader svc in
+  let churn =
+    (Service.elections svc, Service.term svc, Service.view svc, Service.view_changes svc)
+  in
+  let names = Service.orderer_names svc @ [ "no-such-orderer" ] in
+  let crash = List.map (Service.crash_orderer svc) names in
+  let restart = List.map (Service.restart_orderer svc) names in
+  { blocks_cut; cut_total; queued_mid; queued; auth; leader; churn; crash; restart }
+
+let seam_t =
+  let bools l = String.concat ";" (List.map string_of_bool l) in
+  Alcotest.testable
+    (fun fmt s ->
+      let v, r, p = s.auth and e, tm, vw, vc = s.churn in
+      Format.fprintf fmt
+        "blocks_cut=[%s] cut_total=%d queued_mid=%d queued=%d auth=(%d,%d,%d) \
+         leader=%s churn=(%d,%d,%d,%d) crash=[%s] restart=[%s]"
+        (String.concat ";"
+           (List.map (fun (n, c) -> Printf.sprintf "%s:%d" n c) s.blocks_cut))
+        s.cut_total s.queued_mid s.queued v r p
+        (Option.value s.leader ~default:"-")
+        e tm vw vc (bools s.crash) (bools s.restart))
+    ( = )
+
+let test_service_seam () =
+  let row ~n ~queued_mid ~leader ~churn ~crashes =
+    {
+      blocks_cut = List.init n (fun i -> (Printf.sprintf "orderer-%d" (i + 1), 4));
+      cut_total = 4 * n;
+      queued_mid;
+      queued = 0;
+      (* 11 signed + the replayed tx verified once; one forgery, one replay
+         — whatever the kind and however many cutters saw the stream *)
+      auth = (12, 1, 1);
+      leader;
+      churn;
+      crash = List.init n (fun _ -> crashes) @ [ false ];
+      restart = List.init n (fun _ -> crashes) @ [ false ];
+    }
+  in
+  let quiet = (0, 0, 0, 0) in
+  List.iter
+    (fun (kind, n, expected) ->
+      Alcotest.check seam_t
+        (Printf.sprintf "%d orderers" n)
+        expected
+        (seam_run ~kind ~n_orderers:n ~signed:11 ()))
+    [
+      ( Service.Solo,
+        1,
+        row ~n:1 ~queued_mid:1 ~leader:(Some "orderer-1") ~churn:quiet ~crashes:false );
+      (Service.Kafka, 3, row ~n:3 ~queued_mid:1 ~leader:None ~churn:quiet ~crashes:false);
+      (* no leader yet at 0.1 s: submissions wait in the forwarding buffer *)
+      ( Service.Raft,
+        3,
+        row ~n:3 ~queued_mid:6 ~leader:(Some "orderer-3") ~churn:(1, 1, 0, 0)
+          ~crashes:true );
+      ( Service.Bft,
+        4,
+        row ~n:4 ~queued_mid:1 ~leader:(Some "orderer-1") ~churn:quiet ~crashes:true );
+    ]
+
+(* Every Raft node applies the committed log to its own cutter, so each
+   one verifies every transaction: the service total is one node's count,
+   not the sum over nodes. *)
+let test_raft_auth_counted_once () =
+  let n = 9 in
+  let s = seam_run ~replay:false ~kind:Service.Raft ~n_orderers:3 ~signed:n () in
+  let v, r, _ = s.auth in
+  Alcotest.(check int) "auth_verified" n v;
+  Alcotest.(check int) "auth_rejected" 1 r
+
 let suites =
   [
     ( "consensus.cutter",
@@ -424,5 +557,11 @@ let suites =
         Alcotest.test_case "primary crash failover" `Quick
           test_bft_primary_crash_failover;
         Alcotest.test_case "safety at scale" `Quick test_bft_throughput_degrades_with_scale;
+      ] );
+    ( "consensus.service",
+      [
+        Alcotest.test_case "seam counters per kind" `Quick test_service_seam;
+        Alcotest.test_case "raft authenticates each tx once" `Quick
+          test_raft_auth_counted_once;
       ] );
   ]

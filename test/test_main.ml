@@ -4,7 +4,6 @@ let () =
        [
          Test_util.suites;
          Test_crypto.suites;
-         Test_sql.suites;
          Test_storage.suites;
          Test_engine.suites;
          Test_engine2.suites;
@@ -20,11 +19,9 @@ let () =
          Test_peer.suites;
          Test_scenarios.suites;
          Test_misc.suites;
-         Test_chaos.suites;
          Test_obs.suites;
          Test_health.suites;
          Test_sysviews.suites;
-         Test_properties.suites;
          Test_snapshot.suites;
          Test_client.suites;
        ])
